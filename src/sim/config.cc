@@ -1,6 +1,9 @@
 #include "sim/config.hh"
 
+#include <cerrno>
 #include <cstdlib>
+#include <limits>
+#include <optional>
 #include <thread>
 
 #include "alt/column_assoc_cache.hh"
@@ -89,14 +92,35 @@ figure4Configs(std::uint64_t size_bytes)
     return v;
 }
 
+namespace {
+
+/**
+ * A worker count: all decimal digits, at least 1, and small enough for
+ * `unsigned`. strtoul alone would accept "-1" (negated into a huge
+ * count) and wrap values past UINT_MAX; nullopt for anything else.
+ */
+std::optional<unsigned>
+parseJobCount(const std::string &text)
+{
+    if (text.empty() || text.find_first_not_of("0123456789") !=
+                            std::string::npos)
+        return std::nullopt;
+    errno = 0;
+    const unsigned long long n = std::strtoull(text.c_str(), nullptr, 10);
+    if (errno == ERANGE || n < 1 ||
+        n > std::numeric_limits<unsigned>::max())
+        return std::nullopt;
+    return static_cast<unsigned>(n);
+}
+
+} // namespace
+
 unsigned
 defaultJobs()
 {
     if (const char *v = std::getenv("BSIM_JOBS"); v && *v) {
-        char *end = nullptr;
-        const unsigned long n = std::strtoul(v, &end, 10);
-        if (end != v && *end == '\0' && n >= 1)
-            return static_cast<unsigned>(n);
+        if (const auto n = parseJobCount(v))
+            return *n;
         bsim_warn("ignoring bad BSIM_JOBS='", v, "'");
     }
     const unsigned hw = std::thread::hardware_concurrency();
@@ -121,12 +145,12 @@ consumeJobsFlag(int &argc, char **argv)
             argv[w++] = argv[r];
             continue;
         }
-        char *end = nullptr;
-        const unsigned long n = std::strtoul(value.c_str(), &end, 10);
-        if (value.empty() || end == value.c_str() || *end != '\0' ||
-            n < 1)
-            bsim_fatal("bad --jobs value '", value, "'");
-        jobs = static_cast<unsigned>(n);
+        const auto n = parseJobCount(value);
+        if (!n)
+            bsim_fatal("bad --jobs value '", value,
+                       "': expected a whole number from 1 to ",
+                       std::numeric_limits<unsigned>::max());
+        jobs = *n;
     }
     argc = w;
     argv[argc] = nullptr;

@@ -114,11 +114,22 @@ runMissRate(const std::string &workload_name, StreamSide side,
             const CacheConfig &config, std::uint64_t accesses,
             std::uint64_t seed, const ObserverConfig &observe)
 {
+    return std::move(runMissRateFanOut(workload_name, side, {config},
+                                       accesses, seed, observe)
+                         .front());
+}
+
+std::vector<MissRateResult>
+runMissRateFanOut(const std::string &workload_name, StreamSide side,
+                  const std::vector<CacheConfig> &configs,
+                  std::uint64_t accesses, std::uint64_t seed,
+                  const ObserverConfig &observe)
+{
     SpecWorkload wl = makeSpecWorkload(workload_name, seed);
     AccessStream &stream =
         side == StreamSide::Inst ? *wl.inst : *wl.data;
-    return runMissRateOn(stream, config, accesses, workload_name,
-                         observe);
+    return Session(stream, configs, accesses, workload_name, observe)
+        .runAll();
 }
 
 TimedResult

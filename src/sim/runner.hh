@@ -10,6 +10,7 @@
 #define BSIM_SIM_RUNNER_HH
 
 #include <optional>
+#include <vector>
 
 #include "bcache/balance.hh"
 #include "bcache/bcache.hh"
@@ -69,6 +70,17 @@ MissRateResult runMissRateOn(AccessStream &stream,
                              std::uint64_t accesses,
                              const std::string &workload_label,
                              const ObserverConfig &observe = {});
+
+/**
+ * Fan-out runMissRate(): build the workload once and feed each batch
+ * of its stream to one DUT per entry of @p configs. Result i is
+ * bit-identical to runMissRate(workload_name, side, configs[i],
+ * accesses, seed, observe); only the generator work is shared.
+ */
+std::vector<MissRateResult> runMissRateFanOut(
+    const std::string &workload_name, StreamSide side,
+    const std::vector<CacheConfig> &configs, std::uint64_t accesses,
+    std::uint64_t seed = kDefaultSeed, const ObserverConfig &observe = {});
 
 /**
  * Sampled variant of runMissRate(): treat the first @p accesses of the

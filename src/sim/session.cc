@@ -31,19 +31,28 @@ replayLabel(const std::string &path, const TraceShard &shard)
 Session::Session(AccessStream &stream, const CacheConfig &config,
                  std::uint64_t accesses, std::string label,
                  const ObserverConfig &observe, std::size_t batch_len)
-    : config_(config),
+    : Session(stream, std::vector<CacheConfig>{config}, accesses,
+              std::move(label), observe, batch_len)
+{
+}
+
+Session::Session(AccessStream &stream, std::vector<CacheConfig> configs,
+                 std::uint64_t accesses, std::string label,
+                 const ObserverConfig &observe, std::size_t batch_len)
+    : configs_(std::move(configs)),
       label_(std::move(label)),
       observe_(observe),
       maxAccesses_(accesses),
       batchLen_(batch_len),
       stream_(&stream)
 {
+    bsim_assert(!configs_.empty());
 }
 
 Session::Session(std::string trace_path, const CacheConfig &config,
                  const TraceShard &shard,
                  const TraceReplayOptions &options)
-    : config_(config),
+    : configs_{config},
       label_(replayLabel(trace_path, shard)),
       observe_(options.observe),
       maxAccesses_(options.maxAccesses),
@@ -57,12 +66,12 @@ Session::Session(std::string trace_path, const CacheConfig &config,
 }
 
 MissRateResult
-Session::finish(BaseCache &cache, const StatsObserver *obs,
-                bool collect_aggregates) const
+Session::finish(const CacheConfig &config, BaseCache &cache,
+                const StatsObserver *obs, bool collect_aggregates) const
 {
     MissRateResult r;
     r.workload = label_;
-    r.config = config_.label;
+    r.config = config.label;
     r.stats = cache.stats();
     if (!collect_aggregates)
         return r; // sampled: per-unit caches, no aggregate state
@@ -78,17 +87,40 @@ Session::finish(BaseCache &cache, const StatsObserver *obs,
 MissRateResult
 Session::run()
 {
-    auto cache = config_.build(config_.label, 1, nullptr);
-    auto obs = attachObserver(*cache, observe_);
+    bsim_assert(configs_.size() == 1);
+    return std::move(runAll().front());
+}
+
+std::vector<MissRateResult>
+Session::runAll()
+{
+    std::vector<std::unique_ptr<BaseCache>> duts;
+    std::vector<std::unique_ptr<StatsObserver>> observers;
+    for (const CacheConfig &c : configs_) {
+        duts.push_back(c.build(c.label, 1, nullptr));
+        observers.push_back(attachObserver(*duts.back(), observe_));
+    }
     const std::size_t batch_len =
         batchLen_ ? batchLen_ : defaultBatchLen();
+    std::vector<AccessOutcome> outs(std::max<std::size_t>(batch_len, 1));
+
+    // Every record goes to each DUT in config order before the next
+    // one is pulled: a DUT's sequence never depends on its neighbours.
+    auto feed_one = [&](const MemAccess &a) {
+        for (auto &d : duts)
+            d->access(a);
+    };
+    auto feed = [&](std::span<const MemAccess> s) {
+        for (auto &d : duts)
+            d->accessBatch(s, outs.data());
+    };
 
     if (stream_) {
         AccessStream &stream = *stream_;
         const std::uint64_t accesses = maxAccesses_;
         if (batch_len <= 1) {
             for (std::uint64_t i = 0; i < accesses; ++i)
-                cache->access(stream.next());
+                feed_one(stream.next());
         } else if (stream.hasSpanBatches()) {
             // Zero-copy hot loop for trace-backed streams: the stream
             // hands out views of its own chunk buffer (the mmap itself
@@ -99,75 +131,71 @@ Session::run()
             // (verify/batch_equiv) is boundary-independent. An empty
             // span means the bounded, non-cycling trace ran out before
             // @p accesses; the run ends there.
-            std::vector<AccessOutcome> outs(batch_len);
             for (std::uint64_t left = accesses; left > 0;) {
                 const std::span<const MemAccess> s = stream.nextSpan(
                     static_cast<std::size_t>(
                         std::min<std::uint64_t>(batch_len, left)));
                 if (s.empty())
                     break;
-                cache->accessBatch(s, outs.data());
+                feed(s);
                 left -= s.size();
             }
         } else {
             // Hot loop of every miss-rate experiment: stream and cache
             // both work in fixed-size batches (bit-identical to the
-            // per-access path — see MemLevel::accessBatch).
+            // per-access path — see MemLevel::accessBatch). A fan-out
+            // session reuses each batch for every DUT while it is
+            // still in the host's cache.
             std::vector<MemAccess> reqs(batch_len);
-            std::vector<AccessOutcome> outs(batch_len);
             for (std::uint64_t left = accesses; left > 0;) {
                 const std::size_t n = static_cast<std::size_t>(
                     std::min<std::uint64_t>(batch_len, left));
                 stream.nextBatch(reqs.data(), n);
-                cache->accessBatch({reqs.data(), n}, outs.data());
+                feed({reqs.data(), n});
                 left -= n;
             }
         }
-        return finish(*cache, obs.get(), true);
-    }
-
-    TraceReaderPtr reader = handle_ ? openTraceReader(handle_, shard_)
+    } else {
+        TraceReaderPtr reader = handle_
+                                    ? openTraceReader(handle_, shard_)
                                     : openTraceReader(tracePath_, shard_);
-    std::uint64_t left =
-        maxAccesses_ ? maxAccesses_ : ~std::uint64_t{0};
-    if (batch_len <= 1) {
-        // Per-access path (BSIM_BATCH=0/1): still streamed one chunk at
-        // a time, just replayed record by record.
+        // Per-access path (BSIM_BATCH=0/1): still streamed one chunk
+        // at a time, just replayed record by record. The batched path
+        // takes spans straight from the reader's chunk buffer (the
+        // mmap itself for uncompressed BST2), so nothing is copied per
+        // record on the way into accessBatch.
+        const std::size_t chunk = batch_len <= 1 ? 65536 : batch_len;
+        std::uint64_t left =
+            maxAccesses_ ? maxAccesses_ : ~std::uint64_t{0};
         while (left > 0) {
             const std::size_t want = static_cast<std::size_t>(
-                std::min<std::uint64_t>(left, 65536));
+                std::min<std::uint64_t>(left, chunk));
             // Re-clamp what actually came back: nextSpan() promises at
             // most `want` records, but `left -= size` is an unsigned
             // subtraction that would wrap past maxAccesses if a reader
             // ever over-delivered, so don't let a buggy reader turn a
-            // bounded replay into a (near-)unbounded one.
+            // bounded replay into a (near-)unbounded one. The clamp
+            // also keeps an over-delivering reader from overrunning
+            // `outs`.
             std::span<const MemAccess> s = reader->nextSpan(want);
             s = s.first(std::min(s.size(), want));
             if (s.empty())
                 break;
-            for (const MemAccess &a : s)
-                cache->access(a);
-            left -= s.size();
-        }
-    } else {
-        // Batched hot loop: spans come straight from the reader's chunk
-        // buffer (the mmap itself for uncompressed BST2), so nothing is
-        // copied per record on the way into accessBatch.
-        std::vector<AccessOutcome> outs(batch_len);
-        while (left > 0) {
-            const std::size_t want = static_cast<std::size_t>(
-                std::min<std::uint64_t>(left, batch_len));
-            // Same defensive clamp as above; it also keeps an
-            // over-delivering reader from overrunning `outs`.
-            std::span<const MemAccess> s = reader->nextSpan(want);
-            s = s.first(std::min(s.size(), want));
-            if (s.empty())
-                break;
-            cache->accessBatch(s, outs.data());
+            if (batch_len <= 1)
+                for (const MemAccess &a : s)
+                    feed_one(a);
+            else
+                feed(s);
             left -= s.size();
         }
     }
-    return finish(*cache, obs.get(), true);
+
+    std::vector<MissRateResult> results;
+    results.reserve(duts.size());
+    for (std::size_t i = 0; i < duts.size(); ++i)
+        results.push_back(
+            finish(configs_[i], *duts[i], observers[i].get(), true));
+    return results;
 }
 
 std::uint64_t
@@ -195,6 +223,8 @@ MissRateResult
 Session::runSampled(const SamplePlan &plan, std::uint64_t first_unit,
                     std::uint64_t unit_count)
 {
+    bsim_assert(configs_.size() == 1);
+    const CacheConfig &config = configs_.front();
     if (observe_.enabled)
         bsim_fatal("sampled replay cannot ride an observer: each unit "
                    "runs its own short-lived cache, so there is no "
@@ -260,7 +290,7 @@ Session::runSampled(const SamplePlan &plan, std::uint64_t first_unit,
             const std::uint64_t w0 =
                 std::max(s0 >= plan.warmup ? s0 - plan.warmup : 0, pos);
             pump(w0 - pos, nullptr);
-            auto cache = config_.build(config_.label, 1, nullptr);
+            auto cache = config.build(config.label, 1, nullptr);
             pump(s0 - pos, cache.get());
             const CacheStats after_warmup = cache->stats();
             pump(e - pos, cache.get());
@@ -306,7 +336,7 @@ Session::runSampled(const SamplePlan &plan, std::uint64_t first_unit,
             const std::uint64_t warm_start =
                 start >= plan.warmup ? start - plan.warmup : 0;
             reader->skipTo(warm_start);
-            auto cache = config_.build(config_.label, 1, nullptr);
+            auto cache = config.build(config.label, 1, nullptr);
             pump(*cache, start - warm_start);
             const CacheStats after_warmup = cache->stats();
             pump(*cache, end - start);
@@ -319,7 +349,7 @@ Session::runSampled(const SamplePlan &plan, std::uint64_t first_unit,
 
     MissRateResult r;
     r.workload = label_;
-    r.config = config_.label;
+    r.config = config.label;
     r.stats = total;
     r.sampled = std::move(sampled);
     return r;

@@ -21,6 +21,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "sim/runner.hh"
 #include "workload/trace_reader.hh"
@@ -47,12 +48,19 @@ struct TraceReplayOptions
 };
 
 /**
- * One experiment run: a source, a DUT, an observer, a result.
+ * One experiment run: a source, one or more DUTs, their observers,
+ * one result per DUT.
  *
- * A Session is single-shot — construct, then call run() or
+ * A Session is single-shot — construct, then call run(), runAll() or
  * runSampled() exactly once (the source is consumed). Stream sources
  * are caller-owned and borrowed; trace sources are opened and owned by
  * the session.
+ *
+ * A session over several configs fans its source out: each batch is
+ * pulled once and fed to every DUT in config order before the next is
+ * pulled, so each DUT sees exactly the access sequence a one-config
+ * session over the same source would feed it, and its result is
+ * bit-identical to that run's.
  */
 class Session
 {
@@ -63,6 +71,16 @@ class Session
      * are unbounded, so it is also the sampled population.
      */
     Session(AccessStream &stream, const CacheConfig &config,
+            std::uint64_t accesses, std::string label,
+            const ObserverConfig &observe = {},
+            std::size_t batch_len = 0);
+
+    /**
+     * Fan-out session over a caller-owned access stream: one DUT per
+     * entry of @p configs (each with its own observer when @p observe
+     * is enabled), all fed from one pass over @p stream.
+     */
+    Session(AccessStream &stream, std::vector<CacheConfig> configs,
             std::uint64_t accesses, std::string label,
             const ObserverConfig &observe = {},
             std::size_t batch_len = 0);
@@ -80,10 +98,16 @@ class Session
     Session &operator=(Session &&) = default;
 
     /**
-     * Full run: every record of the source window through one DUT.
-     * The miss-rate analogue of the old runMissRateOn/runTraceReplay.
+     * Full run: every record of the source window through the
+     * session's one DUT — runAll() over a list of one.
      */
     MissRateResult run();
+
+    /**
+     * Full run of every DUT over one pass of the source; result i
+     * belongs to config i.
+     */
+    std::vector<MissRateResult> runAll();
 
     /**
      * Sampled run (sim/sampling.hh): simulate only @p plan's units,
@@ -92,7 +116,8 @@ class Session
      * and accept a unit range [first_unit, first_unit + unit_count)
      * for sharding (unit_count 0 = through the last unit); stream
      * sources are consumed in one forward pass, discarding records
-     * between units, and must run the full unit list.
+     * between units, and must run the full unit list. Needs a
+     * one-config session.
      */
     MissRateResult runSampled(const SamplePlan &plan,
                               std::uint64_t first_unit = 0,
@@ -102,11 +127,12 @@ class Session
     const std::string &label() const { return label_; }
 
   private:
-    MissRateResult finish(BaseCache &cache, const StatsObserver *obs,
+    MissRateResult finish(const CacheConfig &config, BaseCache &cache,
+                          const StatsObserver *obs,
                           bool collect_aggregates) const;
     std::uint64_t sampledPopulation() const;
 
-    CacheConfig config_;
+    std::vector<CacheConfig> configs_;
     std::string label_;
     ObserverConfig observe_;
     std::uint64_t maxAccesses_ = 0;

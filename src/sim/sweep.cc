@@ -1,10 +1,13 @@
 #include "sim/sweep.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <map>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
+#include <tuple>
 
 #include "common/logging.hh"
 #include "common/strings.hh"
@@ -37,27 +40,40 @@ eventsOf(const SweepOutcome &out)
     return 0;
 }
 
+std::uint64_t
+resolvedSeed(const SweepJob &job, std::size_t index,
+             std::uint64_t base_seed)
+{
+    return job.seed ? *job.seed : sweepSeed(base_seed, index);
+}
+
+/** Throw unless a synthetic (MissRate/Timed) job names a real run. */
+void
+checkSynthetic(const SweepJob &job)
+{
+    if (!isSpec2kName(job.workload))
+        throw std::invalid_argument("unknown workload '" + job.workload +
+                                    "'");
+    if (job.length == 0)
+        throw std::invalid_argument("zero-length job for '" +
+                                    job.workload + "'");
+}
+
 /** Run one job; every failure is captured in the outcome. */
 SweepOutcome
 runOne(const SweepJob &job, std::size_t index, std::uint64_t base_seed)
 {
     SweepOutcome out;
     out.index = index;
-    out.seed = job.seed ? *job.seed : sweepSeed(base_seed, index);
+    out.seed = resolvedSeed(job, index, base_seed);
     const auto start = Clock::now();
     try {
         // Custom jobs carry their own workload in the callable and
         // trace jobs theirs in the file; the spec2k name and length
         // checks only apply to the built-in synthetic runners.
         if (job.kind == SweepJob::Kind::MissRate ||
-            job.kind == SweepJob::Kind::Timed) {
-            if (!isSpec2kName(job.workload))
-                throw std::invalid_argument("unknown workload '" +
-                                            job.workload + "'");
-            if (job.length == 0)
-                throw std::invalid_argument("zero-length job for '" +
-                                            job.workload + "'");
-        }
+            job.kind == SweepJob::Kind::Timed)
+            checkSynthetic(job);
         switch (job.kind) {
           case SweepJob::Kind::MissRate:
             if (job.sample)
@@ -103,6 +119,100 @@ runOne(const SweepJob &job, std::size_t index, std::uint64_t base_seed)
     }
     out.seconds = secondsSince(start);
     return out;
+}
+
+/** One schedulable piece of work: job indices sharing one stream. */
+using WorkUnit = std::vector<std::size_t>;
+
+/**
+ * Group every unsampled MissRate job by (workload, side, length,
+ * resolved seed) — the jobs that would each generate the identical
+ * stream — keeping every other job a unit of its own. Units are
+ * ordered by their first job and list their jobs in submission order.
+ * While there are fewer units than @p threads, the largest group is
+ * halved, so a one-workload sweep still spreads over the pool.
+ */
+std::vector<WorkUnit>
+planUnits(const std::vector<SweepJob> &jobs, std::uint64_t base_seed,
+          unsigned threads)
+{
+    using Key = std::tuple<std::string, StreamSide, std::uint64_t,
+                           std::uint64_t>;
+    std::map<Key, std::size_t> unit_of;
+    std::vector<WorkUnit> units;
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        const SweepJob &job = jobs[i];
+        if (job.kind != SweepJob::Kind::MissRate || job.sample) {
+            units.push_back({i});
+            continue;
+        }
+        const Key key{job.workload, job.side, job.length,
+                      resolvedSeed(job, i, base_seed)};
+        const auto [it, fresh] = unit_of.try_emplace(key, units.size());
+        if (fresh)
+            units.emplace_back();
+        units[it->second].push_back(i);
+    }
+    while (units.size() < threads) {
+        const auto largest = std::max_element(
+            units.begin(), units.end(),
+            [](const WorkUnit &a, const WorkUnit &b) {
+                return a.size() < b.size();
+            });
+        if (largest->size() < 2)
+            break;
+        const auto mid = largest->begin() +
+                         static_cast<std::ptrdiff_t>(
+                             (largest->size() + 1) / 2);
+        WorkUnit tail(mid, largest->end());
+        largest->erase(mid, largest->end());
+        units.push_back(std::move(tail));
+    }
+    return units;
+}
+
+/**
+ * Run one unit into @p outcomes. A group runs as one fan-out session
+ * and each cell is charged an equal share of its wall time; a group
+ * that throws is rerun one cell at a time, so each cell fails (or
+ * succeeds) exactly as it would alone.
+ */
+void
+runUnit(const std::vector<SweepJob> &jobs, const WorkUnit &unit,
+        std::uint64_t base_seed, std::vector<SweepOutcome> &outcomes)
+{
+    if (unit.size() > 1) {
+        const auto start = Clock::now();
+        const SweepJob &lead = jobs[unit.front()];
+        const std::uint64_t seed =
+            resolvedSeed(lead, unit.front(), base_seed);
+        std::vector<MissRateResult> results;
+        try {
+            checkSynthetic(lead);
+            std::vector<CacheConfig> configs;
+            configs.reserve(unit.size());
+            for (const std::size_t i : unit)
+                configs.push_back(jobs[i].config);
+            results = runMissRateFanOut(lead.workload, lead.side, configs,
+                                        lead.length, seed);
+        } catch (...) {
+            // Leaves `results` empty: the cells rerun one by one below.
+        }
+        if (!results.empty()) {
+            const double share =
+                secondsSince(start) / static_cast<double>(unit.size());
+            for (std::size_t k = 0; k < unit.size(); ++k) {
+                SweepOutcome &out = outcomes[unit[k]];
+                out.index = unit[k];
+                out.seed = seed;
+                out.miss = std::move(results[k]);
+                out.seconds = share;
+            }
+            return;
+        }
+    }
+    for (const std::size_t i : unit)
+        outcomes[i] = runOne(jobs[i], i, base_seed);
 }
 
 } // namespace
@@ -218,6 +328,8 @@ runSweep(const std::vector<SweepJob> &jobs, const SweepOptions &options)
         std::min<std::size_t>(std::max(requested, 1u), jobs.size()));
 
     const auto start = Clock::now();
+    const std::vector<WorkUnit> units =
+        planUnits(jobs, options.baseSeed, threads);
     std::atomic<std::size_t> next{0};
     std::mutex progress_mutex;
     std::size_t done = 0;
@@ -225,22 +337,24 @@ runSweep(const std::vector<SweepJob> &jobs, const SweepOptions &options)
 
     auto worker = [&] {
         for (;;) {
-            const std::size_t i =
+            const std::size_t u =
                 next.fetch_add(1, std::memory_order_relaxed);
-            if (i >= jobs.size())
+            if (u >= units.size())
                 return;
-            run.outcomes[i] = runOne(jobs[i], i, options.baseSeed);
+            runUnit(jobs, units[u], options.baseSeed, run.outcomes);
 
             std::lock_guard<std::mutex> lock(progress_mutex);
-            ++done;
-            events += eventsOf(run.outcomes[i]);
-            if (options.onProgress) {
-                SweepProgress p;
-                p.done = done;
-                p.total = jobs.size();
-                p.events = events;
-                p.seconds = secondsSince(start);
-                options.onProgress(p);
+            for (const std::size_t i : units[u]) {
+                ++done;
+                events += eventsOf(run.outcomes[i]);
+                if (options.onProgress) {
+                    SweepProgress p;
+                    p.done = done;
+                    p.total = jobs.size();
+                    p.events = events;
+                    p.seconds = secondsSince(start);
+                    options.onProgress(p);
+                }
             }
         }
     };

@@ -8,8 +8,27 @@
  * itself — either the explicit SweepJob::seed, or
  * sweepSeed(SweepOptions::baseSeed, job_index) — never on thread count
  * or scheduling, so an N-thread sweep is bit-identical to the same
- * sweep on one thread. Jobs share no mutable state (each builds its own
- * workload and cache models), which is what makes the fan-out safe.
+ * sweep on one thread.
+ *
+ * Stream sharing: unsampled MissRate jobs with the same (workload,
+ * side, length, resolved seed) would each generate the identical
+ * stream, so they run as one unit of work — the workload is built once
+ * and every batch is fed to each job's DUT in turn (Session's fan-out,
+ * sim/session.hh). Every DUT sees the access sequence it would see
+ * alone, so results are bit-identical to one run per job. Jobs with
+ * derived seeds almost never share a key; sampled, Timed, Custom and
+ * Trace jobs always run alone.
+ *
+ * Split rule: when there are fewer units than worker threads, the
+ * largest group is halved (each half regenerates the stream) until
+ * there are as many units as threads or no group has two jobs left, so
+ * a one-workload sweep keeps its parallelism. The split depends on the
+ * thread count, but no result does. Units share no mutable state,
+ * which is what makes running them concurrently safe.
+ *
+ * Time: a grouped job's SweepOutcome::seconds is its unit's wall time
+ * divided by the unit's size, so per-job times still sum to the work
+ * done.
  */
 
 #ifndef BSIM_SIM_SWEEP_HH
@@ -136,8 +155,13 @@ struct SweepOutcome
     std::optional<TimedResult> timed;   ///< Timed jobs
     /** Custom jobs: events the callable reported. */
     std::optional<std::uint64_t> customEvents;
-    std::string error;    ///< non-empty if the job threw
-    double seconds = 0.0; ///< wall time of this job
+    std::string error; ///< non-empty if the job threw
+    /**
+     * Wall time charged to this job: its own run, or for a job that
+     * ran in a shared-stream group, the group's wall time divided by
+     * the group's size.
+     */
+    double seconds = 0.0;
 
     bool ok() const { return error.empty(); }
 };
@@ -207,9 +231,12 @@ struct SweepRun
 std::uint64_t sweepSeed(std::uint64_t base_seed, std::size_t job_index);
 
 /**
- * Execute every job on min(options.jobs, jobs.size()) worker threads.
- * A job that throws is captured in its outcome's `error` field; the
- * remaining jobs still run and the call always returns (no deadlock).
+ * Execute every job on min(options.jobs, jobs.size()) worker threads,
+ * sharing one stream between the jobs of each group (see the file
+ * comment). A job that throws is captured in its outcome's `error`
+ * field — a group that throws is rerun job by job, so only the failing
+ * jobs fail — and the call always returns (no deadlock). onProgress
+ * still fires once per job.
  */
 SweepRun runSweep(const std::vector<SweepJob> &jobs,
                   const SweepOptions &options = {});

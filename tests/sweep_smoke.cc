@@ -1,9 +1,11 @@
 /**
  * @file
- * CTest smoke target for the sweep engine: runs a tiny 8-job sweep on 2
+ * CTest smoke target for the sweep engine: runs a tiny sweep on 2
  * worker threads on every build and checks the results arrive in
- * submission order and bit-identical to a 1-thread run. Exits non-zero
- * (failing the ctest) on any mismatch.
+ * submission order and bit-identical to a 1-thread run. The first half
+ * derives a seed per job, so every job runs alone; the second half pins
+ * one seed, so each workload's cells share one stream (the grouped
+ * path). Exits non-zero (failing the ctest) on any mismatch.
  */
 
 #include <cstdio>
@@ -17,14 +19,16 @@ main()
 {
     const std::uint64_t n = 10000;
     std::vector<SweepJob> jobs;
-    for (const auto &b : {"gcc", "equake", "twolf", "gzip"}) {
-        jobs.push_back(SweepJob::missRate(
-            b, StreamSide::Data, CacheConfig::directMapped(16 * 1024),
-            n));
-        jobs.push_back(SweepJob::missRate(
-            b, StreamSide::Data, CacheConfig::bcache(16 * 1024, 8, 8),
-            n));
-    }
+    for (const std::optional<std::uint64_t> seed :
+         {std::optional<std::uint64_t>{}, std::optional(kDefaultSeed)})
+        for (const auto &b : {"gcc", "equake", "twolf", "gzip"}) {
+            jobs.push_back(SweepJob::missRate(
+                b, StreamSide::Data,
+                CacheConfig::directMapped(16 * 1024), n, seed));
+            jobs.push_back(SweepJob::missRate(
+                b, StreamSide::Data,
+                CacheConfig::bcache(16 * 1024, 8, 8), n, seed));
+        }
 
     SweepOptions serial;
     serial.jobs = 1;
@@ -46,6 +50,19 @@ main()
             ra.stats.hits != rb.stats.hits) {
             std::fprintf(stderr, "job %zu not bit-identical\n", i);
             rc = 1;
+        }
+        if (jobs[i].seed) {
+            // A grouped cell must equal its standalone run.
+            const MissRateResult alone =
+                runMissRate(jobs[i].workload, jobs[i].side,
+                            jobs[i].config, n, *jobs[i].seed);
+            if (alone.stats.misses != rb.stats.misses ||
+                alone.stats.hits != rb.stats.hits) {
+                std::fprintf(stderr,
+                             "job %zu differs from its standalone run\n",
+                             i);
+                rc = 1;
+            }
         }
     }
     if (b.summary.failed != 0) {

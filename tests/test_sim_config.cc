@@ -2,12 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <limits>
+#include <string>
+
 #include "alt/column_assoc_cache.hh"
 #include "alt/hac_cache.hh"
 #include "alt/skewed_assoc_cache.hh"
 #include "bcache/bcache.hh"
 #include "cache/set_assoc_cache.hh"
 #include "cache/victim_cache.hh"
+#include "common/logging.hh"
 #include "mem/main_memory.hh"
 #include "sim/config.hh"
 
@@ -86,6 +91,76 @@ TEST(Config, BuildWiresNextLevel)
     MainMemory mem(50);
     auto c = CacheConfig::directMapped(1024).build("x", 1, &mem);
     EXPECT_EQ(c->access({0, AccessType::Read}).latency, 51u);
+}
+
+/** consumeJobsFlag on one `--jobs` value, with bsim_fatal throwing. */
+unsigned
+parseJobsFlag(const char *value)
+{
+    std::string prog = "prog", flag = "--jobs", v = value;
+    char *argv[] = {prog.data(), flag.data(), v.data(), nullptr};
+    int argc = 3;
+    return consumeJobsFlag(argc, argv);
+}
+
+class JobsParsing : public ::testing::Test
+{
+  protected:
+    void SetUp() override
+    {
+        wasThrowing_ = fatalThrows();
+        setFatalThrows(true);
+        ::unsetenv("BSIM_JOBS");
+        fallback_ = defaultJobs();
+    }
+    void TearDown() override
+    {
+        setFatalThrows(wasThrowing_);
+        ::unsetenv("BSIM_JOBS");
+    }
+
+    bool wasThrowing_ = false;
+    unsigned fallback_ = 0;
+};
+
+TEST_F(JobsParsing, FlagAcceptsWholeCountsThatFitUnsigned)
+{
+    EXPECT_EQ(parseJobsFlag("1"), 1u);
+    EXPECT_EQ(parseJobsFlag("12"), 12u);
+    EXPECT_EQ(parseJobsFlag("4294967295"),
+              std::numeric_limits<unsigned>::max());
+}
+
+TEST_F(JobsParsing, FlagRejectsNegativeOverflowingAndJunk)
+{
+    // strtoul would negate "-1" into a huge count and wrap 2^32 to 0.
+    for (const char *bad : {"-1", "-0", "0", "4294967296",
+                            "18446744073709551616", "+3", " 3", "3x",
+                            "", "0x4"})
+        EXPECT_THROW(parseJobsFlag(bad), FatalError) << "'" << bad << "'";
+}
+
+TEST_F(JobsParsing, FlagErrorNamesTheValue)
+{
+    try {
+        parseJobsFlag("-1");
+        FAIL() << "no error";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("bad --jobs value '-1'"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+TEST_F(JobsParsing, EnvFallsBackOnNegativeOrOverflowingValues)
+{
+    for (const char *bad :
+         {"-2", "-1", "0", "4294967296", "99999999999999999999", "2x"}) {
+        ::setenv("BSIM_JOBS", bad, 1);
+        EXPECT_EQ(defaultJobs(), fallback_) << "'" << bad << "'";
+    }
+    ::setenv("BSIM_JOBS", "7", 1);
+    EXPECT_EQ(defaultJobs(), 7u);
 }
 
 } // namespace
