@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -12,6 +13,7 @@
 
 #include "common/json.hh"
 #include "common/logging.hh"
+#include "sim/config.hh"
 
 namespace bsim {
 namespace serve {
@@ -193,6 +195,19 @@ parseU64Flag(const char *s)
     return v;
 }
 
+/** --jobs/--shards: 0 (the default) up to UINT_MAX, never wrapped. */
+unsigned
+parseCountFlag(const char *flag, const char *s)
+{
+    if (const auto n = parseCount(s))
+        return *n;
+    const std::string msg =
+        std::string("bad ") + flag + " value '" + s +
+        "': expected 0 (default) to " +
+        std::to_string(std::numeric_limits<unsigned>::max());
+    connectUsage(msg.c_str());
+}
+
 } // namespace
 
 int
@@ -222,11 +237,9 @@ connectMain(int argc, char **argv)
         else if (!std::strcmp(argv[i], "--sample"))
             req.sample = need("--sample");
         else if (!std::strcmp(argv[i], "--shards"))
-            req.shards =
-                static_cast<unsigned>(parseU64Flag(need("--shards")));
+            req.shards = parseCountFlag("--shards", need("--shards"));
         else if (!std::strcmp(argv[i], "--jobs"))
-            req.jobs =
-                static_cast<unsigned>(parseU64Flag(need("--jobs")));
+            req.jobs = parseCountFlag("--jobs", need("--jobs"));
         else if (!std::strcmp(argv[i], "--accesses")) {
             req.accesses = parseU64Flag(need("--accesses"));
             req.accessesSet = true;

@@ -1,7 +1,10 @@
 #include "serve/rpc.hh"
 
+#include <limits>
+
 #include "common/json.hh"
 #include "common/logging.hh"
+#include "sim/config.hh"
 
 namespace bsim {
 namespace serve {
@@ -123,14 +126,18 @@ parseRpcRequest(const std::string &payload, std::string *error)
         } else if (key == "sample") {
             if (!readString(value, key, &req.sample, error))
                 return std::nullopt;
-        } else if (key == "shards") {
+        } else if (key == "shards" || key == "jobs") {
             if (!readU64(value, key, &u, error))
                 return std::nullopt;
-            req.shards = static_cast<unsigned>(u);
-        } else if (key == "jobs") {
-            if (!readU64(value, key, &u, error))
+            const std::optional<unsigned> n = checkedCount(u);
+            if (!n) {
+                fail(error,
+                     "field '" + key + "' must be at most " +
+                         std::to_string(
+                             std::numeric_limits<unsigned>::max()));
                 return std::nullopt;
-            req.jobs = static_cast<unsigned>(u);
+            }
+            (key == "shards" ? req.shards : req.jobs) = *n;
         } else if (key == "accesses") {
             if (!readU64(value, key, &req.accesses, error))
                 return std::nullopt;

@@ -20,20 +20,24 @@ TraceRegistry::get(const std::string &name)
             return nullptr;
         it = slots_.emplace(name, Slot{name, nullptr}).first;
     }
-    if (it->second.handle)
-        return it->second.handle;
     const std::string path = it->second.path;
-    // Open outside the lock: a slow or faulting open (cold NFS page-in,
-    // a fatal-throw on a malformed header) must not stall lookups of
-    // other traces. Losing a race just opens the file twice; the first
-    // writer wins and both handles are valid.
+    const TraceHandlePtr cached = it->second.handle;
+    // Stat and open outside the lock: a slow or faulting open (cold NFS
+    // page-in, a fatal-throw on a malformed header) must not stall
+    // lookups of other traces. Losing a race just opens the file twice;
+    // the first writer wins and both handles are valid.
     lock.unlock();
+    // A cached handle's chunk-validation verdicts hold only for the
+    // bytes it mapped: if the file was replaced or rewritten since,
+    // reopen it and replace the handle (a removed file fails the open).
+    if (cached && fileIdentity(path) == cached->identity())
+        return cached;
     TraceHandlePtr handle = openTraceHandle(path);
     lock.lock();
     it = slots_.find(name);
-    if (it == slots_.end())
-        return handle; // re-registered away mid-open; still usable
-    if (!it->second.handle)
+    if (it == slots_.end() || it->second.path != path)
+        return handle; // re-registered mid-open; still usable
+    if (!it->second.handle || it->second.handle == cached)
         it->second.handle = handle;
     return it->second.handle;
 }

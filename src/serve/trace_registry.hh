@@ -6,6 +6,13 @@
  * instead of re-opening and re-mapping the file per request; handles
  * are immutable, so no locking is needed past the lookup.
  *
+ * A handle remembers which chunks of its mapping have passed
+ * validation, and that memo is only true of the file it mapped. So
+ * every lookup stats the path (one stat(2)) and compares device,
+ * inode, size and mtime with the handle's; on a change the file is
+ * reopened with a fresh memo. A rewrite during a running request is
+ * not detected by that request.
+ *
  * Resolution order for a request's "trace" string: a registered name
  * wins; otherwise, when path fallback is enabled (the default for a
  * local daemon), the string is treated as a filesystem path and opened
@@ -45,8 +52,9 @@ class TraceRegistry
 
     /**
      * Resolve @p name to an open handle, opening and caching it on
-     * first use. Returns nullptr for unknown names when path fallback
-     * is off; throws FatalError (via the daemon's fatal-throw mode) for
+     * first use and reopening it when the file's identity has changed.
+     * Returns nullptr for unknown names when path fallback is off;
+     * throws FatalError (via the daemon's fatal-throw mode) for
      * resolvable names whose files are missing or malformed.
      */
     TraceHandlePtr get(const std::string &name);

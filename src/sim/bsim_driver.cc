@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -12,6 +13,7 @@
 #include "common/table.hh"
 #include "observe/export.hh"
 #include "power/cacti_lite.hh"
+#include "sim/config.hh"
 #include "sim/experiment_file.hh"
 #include "sim/report.hh"
 #include "sim/trace_replay.hh"
@@ -111,6 +113,19 @@ parseU64(const char *s)
     if (end == s || *end)
         usage("bad number");
     return v;
+}
+
+/** --jobs/--shards: 0 (the default) up to UINT_MAX, never wrapped. */
+unsigned
+parseCountFlag(const char *flag, const char *s)
+{
+    if (const auto n = parseCount(s))
+        return *n;
+    const std::string msg =
+        std::string("bad ") + flag + " value '" + s +
+        "': expected 0 (default) to " +
+        std::to_string(std::numeric_limits<unsigned>::max());
+    usage(msg.c_str());
 }
 
 /** --trace-info: the header/probe readout, no records replayed. */
@@ -423,10 +438,9 @@ bsimMain(int argc, char **argv, const BsimHooks &hooks)
         else if (!std::strcmp(argv[i], "--trace-info"))
             return printTraceInfo(need("--trace-info"));
         else if (!std::strcmp(argv[i], "--shards"))
-            shards =
-                static_cast<unsigned>(parseU64(need("--shards")));
+            shards = parseCountFlag("--shards", need("--shards"));
         else if (!std::strcmp(argv[i], "--jobs"))
-            jobs = static_cast<unsigned>(parseU64(need("--jobs")));
+            jobs = parseCountFlag("--jobs", need("--jobs"));
         else if (!std::strcmp(argv[i], "--batch"))
             batch =
                 static_cast<std::size_t>(parseU64(need("--batch")));

@@ -107,13 +107,33 @@ parseJobCount(const std::string &text)
         return std::nullopt;
     errno = 0;
     const unsigned long long n = std::strtoull(text.c_str(), nullptr, 10);
-    if (errno == ERANGE || n < 1 ||
-        n > std::numeric_limits<unsigned>::max())
+    if (errno == ERANGE || n < 1)
+        return std::nullopt;
+    return checkedCount(n);
+}
+
+} // namespace
+
+std::optional<unsigned>
+checkedCount(std::uint64_t n)
+{
+    if (n > std::numeric_limits<unsigned>::max())
         return std::nullopt;
     return static_cast<unsigned>(n);
 }
 
-} // namespace
+std::optional<unsigned>
+parseCount(const std::string &text)
+{
+    if (text.find('-') != std::string::npos)
+        return std::nullopt;
+    errno = 0;
+    char *end = nullptr;
+    const unsigned long long n = std::strtoull(text.c_str(), &end, 0);
+    if (end == text.c_str() || *end || errno == ERANGE)
+        return std::nullopt;
+    return checkedCount(n);
+}
 
 unsigned
 defaultJobs()

@@ -16,6 +16,8 @@
 #ifndef BSIM_SIM_CONFIG_HH
 #define BSIM_SIM_CONFIG_HH
 
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "bcache/bcache_params.hh"
@@ -48,6 +50,20 @@ std::vector<CacheConfig> figure12Configs(std::uint64_t size_bytes);
  * else 1.
  */
 unsigned defaultJobs();
+
+/**
+ * A `jobs`/`shards` count from the bsim front ends: @p n if it fits in
+ * `unsigned` (0 = "default" included), nullopt above UINT_MAX, where a
+ * plain cast would wrap (4294967296 -> 0).
+ */
+std::optional<unsigned> checkedCount(std::uint64_t n);
+
+/**
+ * checkedCount() of a number spelled as strtoull(base 0) reads it
+ * (decimal, 0x hex, leading-0 octal). nullopt for non-numbers, a `-`
+ * sign (strtoull negates into a huge value) and values above UINT_MAX.
+ */
+std::optional<unsigned> parseCount(const std::string &text);
 
 /**
  * Consume a `--jobs N` (or `--jobs=N`) flag from argv, compacting the

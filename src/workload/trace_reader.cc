@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
 #include <vector>
 
@@ -174,6 +175,16 @@ fileSizeOf(const std::string &path)
     return static_cast<std::uint64_t>(st.st_size);
 }
 
+FileIdentity
+identityOf(const struct stat &st)
+{
+    return {static_cast<std::uint64_t>(st.st_dev),
+            static_cast<std::uint64_t>(st.st_ino),
+            static_cast<std::uint64_t>(st.st_size),
+            static_cast<std::int64_t>(st.st_mtim.tv_sec),
+            static_cast<std::int64_t>(st.st_mtim.tv_nsec)};
+}
+
 [[noreturn]] void
 fatalBadMagic(const std::string &path)
 {
@@ -200,6 +211,7 @@ class MappedFile
             bsim_fatal("cannot stat trace '", path, "'");
         }
         size_ = static_cast<std::size_t>(st.st_size);
+        identity_ = identityOf(st);
         if (size_ > 0) {
             void *p = ::mmap(nullptr, size_, PROT_READ, MAP_PRIVATE, fd, 0);
             if (p == MAP_FAILED) {
@@ -222,6 +234,8 @@ class MappedFile
 
     const unsigned char *data() const { return data_; }
     std::size_t size() const { return size_; }
+    /** The mapped file as fstat() saw it when it was mapped. */
+    const FileIdentity &identity() const { return identity_; }
 
     /**
      * Tell the kernel the byte range [begin, end) will not be touched
@@ -245,6 +259,7 @@ class MappedFile
   private:
     const unsigned char *data_ = nullptr;
     std::size_t size_ = 0;
+    FileIdentity identity_;
 };
 
 /** Clamp @p shard to a window of @p total records; fatal if outside. */
@@ -285,12 +300,76 @@ checkBst2Mapping(const std::string &path, const MappedFile &map)
     return header;
 }
 
+/**
+ * A mapped BST2 file with a checked header, plus the per-chunk memo of
+ * payload validation that every reader of the mapping shares. A chunk's
+ * flag is set (release) once some reader has checked its frame header
+ * and every record; readers that find it set (acquire) skip the check.
+ * A failed check is never recorded, so every reader that enters a bad
+ * chunk fails with the same message. Two readers racing into an
+ * unchecked chunk may both check it; their verdicts agree.
+ */
+class Bst2Mapping
+{
+  public:
+    explicit Bst2Mapping(const std::string &path)
+        : path_(path), file_(path), header_(checkBst2Mapping(path, file_)),
+          validated_(std::make_unique<std::atomic<std::uint8_t>[]>(
+              header_.chunks()))
+    {
+    }
+
+    const MappedFile &file() const { return file_; }
+    const Bst2Header &header() const { return header_; }
+
+    /** Payload validations run so far (TraceHandle::payloadValidations). */
+    std::uint64_t
+    payloadValidations() const
+    {
+        return payloadValidations_.load(std::memory_order_relaxed);
+    }
+
+    /**
+     * Fatal unless chunk @p chunk's frame header and payload are well
+     * formed. Runs the check only while no reader has passed it.
+     */
+    void
+    validate(std::uint64_t chunk)
+    {
+        if (validated_[chunk].load(std::memory_order_acquire))
+            return;
+        const std::uint64_t first = chunk * header_.chunkLen;
+        const std::uint32_t records = static_cast<std::uint32_t>(
+            std::min<std::uint64_t>(header_.chunkLen,
+                                    header_.recordCount - first));
+        const unsigned char *hdr =
+            file_.data() + header_.chunkOffset(chunk);
+        std::string err;
+        if (!decodeBst2ChunkHeader(hdr, records, first, &err))
+            bsim_fatal("malformed BST2 trace '", path_, "' at chunk ",
+                       chunk, ": ", err);
+        payloadValidations_.fetch_add(1, std::memory_order_relaxed);
+        const std::uint64_t bad = validateBst2Payload(
+            hdr + kBst2ChunkHeaderBytes, records);
+        if (bad != records)
+            bsim_fatal("malformed BST2 trace '", path_, "': record ",
+                       first + bad, " has a bad type/reserved field");
+        validated_[chunk].store(1, std::memory_order_release);
+    }
+
+  private:
+    std::string path_;
+    MappedFile file_;
+    Bst2Header header_;
+    std::unique_ptr<std::atomic<std::uint8_t>[]> validated_;
+    std::atomic<std::uint64_t> payloadValidations_{0};
+};
+
 class Bst2MmapReader : public TraceReader
 {
   public:
     Bst2MmapReader(const std::string &path, const TraceShard &shard)
-        : Bst2MmapReader(path, shard,
-                         std::make_shared<MappedFile>(path),
+        : Bst2MmapReader(path, shard, std::make_shared<Bst2Mapping>(path),
                          /*shared_mapping=*/false)
     {
     }
@@ -301,11 +380,10 @@ class Bst2MmapReader : public TraceReader
      * handle, and dropping them would evict another request's window.
      */
     Bst2MmapReader(const std::string &path, const TraceShard &shard,
-                   std::shared_ptr<MappedFile> map, bool shared_mapping)
-        : path_(path), map_(std::move(map)),
+                   std::shared_ptr<Bst2Mapping> map, bool shared_mapping)
+        : path_(path), map_(std::move(map)), header_(map_->header()),
           sharedMapping_(shared_mapping)
     {
-        header_ = checkBst2Mapping(path, *map_);
         std::tie(begin_, end_) =
             shardWindow(shard, header_.recordCount, path);
         pos_ = begin_;
@@ -320,7 +398,7 @@ class Bst2MmapReader : public TraceReader
     reset() override
     {
         pos_ = begin_;
-        validatedChunk_ = kUnknownRecordCount;
+        currentChunk_ = kUnknownRecordCount;
     }
 
     void
@@ -342,14 +420,14 @@ class Bst2MmapReader : public TraceReader
         if (pos_ >= end_ || max_n == 0)
             return {};
         const std::uint64_t chunk = pos_ / header_.chunkLen;
-        if (chunk != validatedChunk_)
-            validateChunk(chunk);
+        if (chunk != currentChunk_)
+            enterChunk(chunk);
         const std::uint64_t chunk_first = chunk * header_.chunkLen;
         const std::uint64_t chunk_end = std::min<std::uint64_t>(
             chunk_first + header_.chunkLen, header_.recordCount);
         const std::uint64_t n = std::min<std::uint64_t>(
             {chunk_end - pos_, end_ - pos_, max_n});
-        const unsigned char *payload = map_->data() +
+        const unsigned char *payload = map_->file().data() +
                                        header_.chunkOffset(chunk) +
                                        kBst2ChunkHeaderBytes;
         std::span<const MemAccess> out;
@@ -378,38 +456,24 @@ class Bst2MmapReader : public TraceReader
 
   private:
     void
-    validateChunk(std::uint64_t chunk)
+    enterChunk(std::uint64_t chunk)
     {
-        const std::uint64_t first = chunk * header_.chunkLen;
-        const std::uint32_t records = static_cast<std::uint32_t>(
-            std::min<std::uint64_t>(header_.chunkLen,
-                                    header_.recordCount - first));
-        const unsigned char *hdr =
-            map_->data() + header_.chunkOffset(chunk);
-        std::string err;
-        if (!decodeBst2ChunkHeader(hdr, records, first, &err))
-            bsim_fatal("malformed BST2 trace '", path_, "' at chunk ",
-                       chunk, ": ", err);
-        const std::uint64_t bad = validateBst2Payload(
-            hdr + kBst2ChunkHeaderBytes, records);
-        if (bad != records)
-            bsim_fatal("malformed BST2 trace '", path_, "': record ",
-                       first + bad, " has a bad type/reserved field");
-        if (validatedChunk_ != kUnknownRecordCount && !sharedMapping_)
-            map_->dropRange(
-                header_.chunkOffset(validatedChunk_),
+        map_->validate(chunk);
+        if (currentChunk_ != kUnknownRecordCount && !sharedMapping_)
+            map_->file().dropRange(
+                header_.chunkOffset(currentChunk_),
                 std::min<std::uint64_t>(
-                    header_.chunkOffset(validatedChunk_ + 1),
+                    header_.chunkOffset(currentChunk_ + 1),
                     header_.fileBytes()));
-        validatedChunk_ = chunk;
+        currentChunk_ = chunk;
     }
 
     std::string path_;
-    std::shared_ptr<MappedFile> map_;
-    bool sharedMapping_ = false;
+    std::shared_ptr<Bst2Mapping> map_;
     Bst2Header header_;
+    bool sharedMapping_ = false;
     std::uint64_t begin_ = 0, end_ = 0, pos_ = 0;
-    std::uint64_t validatedChunk_ = kUnknownRecordCount;
+    std::uint64_t currentChunk_ = kUnknownRecordCount;
     /** Big-endian fallback only; unused on the zero-copy path. */
     std::vector<MemAccess> convert_;
 };
@@ -934,18 +998,39 @@ openTraceReader(const std::string &path, const TraceShard &shard)
                                           openByteSource(path), gz);
 }
 
+std::optional<FileIdentity>
+fileIdentity(const std::string &path)
+{
+    struct stat st;
+    if (::stat(path.c_str(), &st) != 0)
+        return std::nullopt;
+    return identityOf(st);
+}
+
 TraceHandlePtr
 openTraceHandle(const std::string &path)
 {
     const TraceInfo info = probeTrace(path);
-    std::shared_ptr<void> mapping;
     if (info.format == "BST2" && !info.compressed) {
-        auto map = std::make_shared<MappedFile>(path);
-        checkBst2Mapping(path, *map); // validate once, up front
-        mapping = std::move(map);
+        // The header is checked once, here; chunk payloads on first read.
+        auto map = std::make_shared<Bst2Mapping>(path);
+        const FileIdentity identity = map->file().identity();
+        return std::make_shared<const TraceHandle>(path, info, identity,
+                                                   std::move(map));
     }
-    return std::make_shared<const TraceHandle>(path, info,
-                                               std::move(mapping));
+    const std::optional<FileIdentity> identity = fileIdentity(path);
+    if (!identity)
+        bsim_fatal("cannot stat trace '", path, "'");
+    return std::make_shared<const TraceHandle>(path, info, *identity,
+                                               nullptr);
+}
+
+std::uint64_t
+TraceHandle::payloadValidations() const
+{
+    return mapping_ ? std::static_pointer_cast<Bst2Mapping>(mapping_)
+                          ->payloadValidations()
+                    : 0;
 }
 
 TraceReaderPtr
@@ -955,7 +1040,7 @@ openTraceReader(const TraceHandlePtr &handle, const TraceShard &shard)
     if (handle->shared())
         return std::make_unique<Bst2MmapReader>(
             handle->path(), shard,
-            std::static_pointer_cast<MappedFile>(handle->mapping()),
+            std::static_pointer_cast<Bst2Mapping>(handle->mapping()),
             /*shared_mapping=*/true);
     // Non-mappable formats (BST1, gzip, text): the handle caches the
     // probe, but each reader owns its own sequential source.

@@ -23,6 +23,7 @@
 #define BSIM_WORKLOAD_TRACE_READER_HH
 
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 
@@ -122,6 +123,23 @@ struct TraceInfo
 TraceInfo probeTrace(const std::string &path);
 
 /**
+ * One version of a file on disk: stat(2)'s device, inode, size and
+ * modification time. Replacing the file or rewriting it in place
+ * changes at least one field (a same-size rewrite within the
+ * filesystem's timestamp granularity aside).
+ */
+struct FileIdentity
+{
+    std::uint64_t dev = 0, ino = 0, size = 0;
+    std::int64_t mtimeSec = 0, mtimeNsec = 0;
+
+    bool operator==(const FileIdentity &) const = default;
+};
+
+/** stat(2) @p path; nullopt when it cannot be stat'ed. */
+std::optional<FileIdentity> fileIdentity(const std::string &path);
+
+/**
  * A shared, immutable handle to an open trace: the probed TraceInfo
  * plus — for uncompressed BST2 files — the mmap of the whole file, held
  * once and shared by every reader opened from the handle. This is the
@@ -129,6 +147,13 @@ TraceInfo probeTrace(const std::string &path);
  * on: a resident server opens each trace once and hands concurrent
  * requests zero-copy TraceShard windows over the same mapping, instead
  * of re-opening and re-mapping the file per request.
+ *
+ * The mapping also carries one "payload validated" flag per chunk, so
+ * each chunk is checked once per handle rather than once per reader:
+ * the first reader to enter a chunk validates it, later readers trust
+ * the flag. The verdicts describe the bytes of the file identity()
+ * names; a holder that may outlive a rewrite of the file (the serving
+ * registry) must compare identities and reopen on a change.
  *
  * Readers over a shared mapping never MADV_DONTNEED consumed chunks
  * (another request may be replaying them); the single-shot
@@ -140,9 +165,9 @@ TraceInfo probeTrace(const std::string &path);
 class TraceHandle
 {
   public:
-    TraceHandle(std::string path, TraceInfo info,
+    TraceHandle(std::string path, TraceInfo info, FileIdentity identity,
                 std::shared_ptr<void> mapping)
-        : path_(std::move(path)), info_(info),
+        : path_(std::move(path)), info_(info), identity_(identity),
           mapping_(std::move(mapping))
     {
     }
@@ -151,15 +176,25 @@ class TraceHandle
 
     const std::string &path() const { return path_; }
     const TraceInfo &info() const { return info_; }
+    /** The file as it was when the handle was opened. */
+    const FileIdentity &identity() const { return identity_; }
     /** True when readers share this handle's mmap (uncompressed BST2). */
     bool shared() const { return mapping_ != nullptr; }
 
-    /** The type-erased shared MappedFile (trace_reader.cc internal). */
+    /**
+     * Chunk payloads validated so far through this handle's mapping (0
+     * for unshared formats): each chunk counts once, unless readers
+     * raced into it before either had finished.
+     */
+    std::uint64_t payloadValidations() const;
+
+    /** The type-erased shared Bst2Mapping (trace_reader.cc internal). */
     const std::shared_ptr<void> &mapping() const { return mapping_; }
 
   private:
     std::string path_;
     TraceInfo info_;
+    FileIdentity identity_;
     std::shared_ptr<void> mapping_;
 };
 

@@ -15,6 +15,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <filesystem>
 #include <random>
 #include <sys/socket.h>
 #include <thread>
@@ -30,6 +32,7 @@
 #include "serve/scheduler.hh"
 #include "serve/server.hh"
 #include "serve/trace_registry.hh"
+#include "workload/trace_format.hh"
 
 using namespace bsim;
 using namespace bsim::serve;
@@ -215,6 +218,28 @@ TEST(Rpc, RejectsMalformedRequests)
         R"({"op":"run","cache":"dm:16kB","side":"sideways"})", &err));
 }
 
+TEST(Rpc, JobsAndShardsStopAtUintMax)
+{
+    std::string err;
+    const auto max = parseRpcRequest(
+        R"({"op":"run","cache":"dm:4kB","trace":"t",)"
+        R"("shards":4294967295,"jobs":4294967295})",
+        &err);
+    ASSERT_TRUE(max) << err;
+    EXPECT_EQ(4294967295u, max->shards);
+    EXPECT_EQ(4294967295u, max->jobs);
+    for (const char *field : {"shards", "jobs"})
+        for (const char *n : {"4294967296", "4294967297"}) {
+            const std::string payload =
+                std::string(R"({"op":"run","cache":"dm:4kB","trace":"t",")") +
+                field + "\":" + n + "}";
+            EXPECT_FALSE(parseRpcRequest(payload, &err)) << payload;
+            EXPECT_EQ("field '" + std::string(field) +
+                          "' must be at most 4294967295",
+                      err);
+        }
+}
+
 TEST(Rpc, EnvelopesEmbedBodiesVerbatim)
 {
     // Key order and number lexemes must survive the round trip — the
@@ -259,6 +284,98 @@ TEST(TraceRegistryTest, UnknownNamesRespectPathPolicy)
 
     TraceRegistry open(/*allow_paths=*/true);
     EXPECT_THROW(open.get("no/such/file.bst"), FatalError);
+}
+
+/** A scratch directory removed at scope exit. */
+class TempDir
+{
+  public:
+    TempDir()
+        : dir_(std::filesystem::temp_directory_path() /
+               ("bsim_serve_test_" + std::to_string(::getpid()) + "_" +
+                std::to_string(counter_++)))
+    {
+        std::filesystem::create_directories(dir_);
+    }
+    ~TempDir() { std::filesystem::remove_all(dir_); }
+
+    std::string path(const std::string &name) const
+    {
+        return (dir_ / name).string();
+    }
+
+  private:
+    static inline int counter_ = 0;
+    std::filesystem::path dir_;
+};
+
+/** A BST2 trace of @p n mixed records in chunks of @p chunk_len. */
+void
+writeMixedTrace(const std::string &path, std::size_t n,
+                std::uint32_t chunk_len)
+{
+    std::vector<MemAccess> records;
+    std::mt19937_64 rng(17);
+    for (std::size_t i = 0; i < n; ++i)
+        records.push_back({(rng() % 4096) * 32,
+                           i % 5 == 2 ? AccessType::Write
+                                      : AccessType::Read});
+    writeBst2Trace(path, records, chunk_len);
+}
+
+/** Overwrite record @p record's type byte in place (same file size). */
+void
+corruptRecord(const std::string &path, std::uint64_t record,
+              std::uint32_t chunk_len)
+{
+    const std::uint64_t chunk = record / chunk_len;
+    std::FILE *f = std::fopen(path.c_str(), "r+b");
+    ASSERT_NE(f, nullptr);
+    const long off = long(
+        kBst2HeaderBytes +
+        chunk * (kBst2ChunkHeaderBytes + chunk_len * kBst2RecordBytes) +
+        kBst2ChunkHeaderBytes + (record % chunk_len) * kBst2RecordBytes +
+        8);
+    std::fseek(f, off, SEEK_SET);
+    std::fputc(0x77, f);
+    std::fclose(f);
+}
+
+TEST(TraceRegistryTest, RewrittenTraceIsReopenedAndRevalidated)
+{
+    setFatalThrows(true);
+    TempDir tmp;
+    const std::string p = tmp.path("t.bst");
+    writeMixedTrace(p, 20000, 1024);
+    TraceRegistry reg(/*allow_paths=*/false);
+    reg.add("t", p);
+
+    RpcRequest req;
+    req.cache = "dm:4kB";
+    req.trace = "t";
+    req.sample = "200:2000:400";
+    RpcResult r = decodeResult(runRequest(req, reg, nullptr));
+    ASSERT_TRUE(r.ok) << r.errorMessage;
+    const TraceHandlePtr before = reg.get("t");
+    EXPECT_EQ(before.get(), reg.get("t").get())
+        << "an unchanged file keeps its handle";
+    EXPECT_GT(before->payloadValidations(), 0u);
+
+    // Rewrite a chunk the handle has already validated, in place and at
+    // the same size, then move the mtime on explicitly so the change is
+    // visible at any timestamp granularity.
+    corruptRecord(p, 2000 + 300, 1024);
+    std::filesystem::last_write_time(
+        p, std::filesystem::last_write_time(p) + std::chrono::seconds(10));
+
+    r = decodeResult(runRequest(req, reg, nullptr));
+    EXPECT_FALSE(r.ok) << "a rewritten file must not reuse old verdicts";
+    EXPECT_EQ("bad-request", r.errorCode);
+    EXPECT_NE(r.errorMessage.find("malformed BST2 trace"),
+              std::string::npos)
+        << r.errorMessage;
+    EXPECT_NE(before.get(), reg.get("t").get());
+    EXPECT_EQ(1u, reg.openCount());
 }
 
 // ------------------------------------------------------------- scheduler
@@ -398,6 +515,56 @@ TEST(Request, TypedErrorsForBadSpecAndUnknownTrace)
     r = decodeResult(runRequest(shardless, reg, &sched));
     EXPECT_FALSE(r.ok);
     EXPECT_EQ("bad-request", r.errorCode);
+}
+
+TEST(Request, SecondSampledRunOverAHandleValidatesNothing)
+{
+    setFatalThrows(true);
+    TempDir tmp;
+    writeMixedTrace(tmp.path("s.bst"), 60000, 1024); // 59 chunks
+    TraceRegistry reg(/*allow_paths=*/false);
+    reg.add("s", tmp.path("s.bst"));
+
+    RpcRequest req;
+    req.cache = "bcache:8kB,mf=8,bas=8";
+    req.trace = "s";
+    req.sample = "500:6000:1000";
+    const std::string first = runStatsBody(req, reg);
+    const std::uint64_t after_first = reg.get("s")->payloadValidations();
+    EXPECT_GT(after_first, 0u);
+    EXPECT_LT(after_first, 59u) << "skipped chunks are never validated";
+
+    const std::string second = runStatsBody(req, reg);
+    EXPECT_EQ(first, second);
+    EXPECT_EQ(after_first, reg.get("s")->payloadValidations())
+        << "the second request re-validated chunks the first had passed";
+}
+
+TEST(Request, CorruptRegisteredTraceIsBadRequestEveryTime)
+{
+    setFatalThrows(true);
+    TempDir tmp;
+    writeMixedTrace(tmp.path("c.bst"), 20000, 1024);
+    corruptRecord(tmp.path("c.bst"), 6100, 1024); // inside unit 3
+    TraceRegistry reg(/*allow_paths=*/false);
+    reg.add("c", tmp.path("c.bst"));
+
+    RpcRequest req;
+    req.cache = "dm:4kB";
+    req.trace = "c";
+    req.sample = "200:2000:400";
+    std::string message;
+    for (int i = 0; i < 2; ++i) {
+        const RpcResult r = decodeResult(runRequest(req, reg, nullptr));
+        ASSERT_FALSE(r.ok) << "request " << i;
+        EXPECT_EQ("bad-request", r.errorCode) << "request " << i;
+        if (i == 0)
+            message = r.errorMessage;
+        EXPECT_EQ(message, r.errorMessage) << "request " << i;
+    }
+    EXPECT_NE(message.find("record 6100 has a bad type"),
+              std::string::npos)
+        << message;
 }
 
 /**
@@ -559,6 +726,90 @@ TEST(ServerLifecycle, DrainRefusesNewWorkOverTheWire)
         // connection already drained away — equally refused
     }
     srv.join(); // drain closes the connection after the response
+}
+
+/** Wire and `--connect` counts: UINT_MAX runs, anything past is refused. */
+TEST(ServerLifecycle, CountsPastUintMaxAreTypedBadRequests)
+{
+    setFatalThrows(true);
+    ServerOptions so;
+    Server server(so);
+    int sp[2];
+    ASSERT_EQ(0, ::socketpair(AF_UNIX, SOCK_STREAM, 0, sp));
+    std::thread srv([&server, fd = sp[0]] { server.serveConnection(fd); });
+    {
+        RpcClient client(sp[1]);
+        const std::string run =
+            R"({"op":"run","cache":"dm:4kB","stats":false,"trace":")" +
+            tracePath("conflict_dm.bst") + "\",";
+        RpcResult r = decodeResult(
+            client.call(run + R"("shards":4294967295,"jobs":4294967295})"));
+        EXPECT_TRUE(r.ok) << r.errorMessage;
+        for (const char *field : {"shards", "jobs"})
+            for (const char *n : {"4294967296", "4294967297"}) {
+                r = decodeResult(client.call(run + "\"" + field + "\":" +
+                                             n + "}"));
+                EXPECT_FALSE(r.ok) << field << "=" << n;
+                EXPECT_EQ("bad-request", r.errorCode) << field << "=" << n;
+            }
+    }
+    srv.join();
+}
+
+/** Runs connectMain over @p args with stdout captured into @p out. */
+int
+runConnect(std::vector<std::string> args, std::string *out = nullptr)
+{
+    args.insert(args.begin(), "bsim");
+    std::vector<char *> argv;
+    for (std::string &a : args)
+        argv.push_back(a.data());
+    argv.push_back(nullptr);
+    ::testing::internal::CaptureStdout();
+    const int rc = connectMain(static_cast<int>(args.size()), argv.data());
+    const std::string captured = ::testing::internal::GetCapturedStdout();
+    if (out)
+        *out = captured;
+    return rc;
+}
+
+TEST(ConnectFlags, JobsAndShardsAcceptUintMaxAndRejectPastIt)
+{
+    setFatalThrows(true);
+    TempDir tmp;
+    const std::string sock = tmp.path("bsimd.sock");
+    const std::vector<std::string> base = {
+        "--connect", sock, "--cache", "dm:4kB", "--trace",
+        tracePath("conflict_dm.bst")};
+    // Refused while parsing flags, before any connection is made.
+    for (const char *flag : {"--jobs", "--shards"})
+        for (const char *n : {"4294967296", "4294967297"}) {
+            std::vector<std::string> args = base;
+            args.insert(args.end(), {flag, n});
+            EXPECT_EXIT(runConnect(args), ::testing::ExitedWithCode(2),
+                        std::string("bad ") + flag + " value '" + n + "'");
+        }
+
+    ServerOptions so;
+    so.unixPath = sock;
+    so.workers = 1;
+    Server server(so);
+    std::thread srv([&server] { server.run(); });
+    while (!std::filesystem::exists(sock))
+        std::this_thread::sleep_for(1ms);
+    std::vector<std::string> args = base;
+    args.insert(args.end(),
+                {"--jobs", "4294967295", "--shards", "4294967295"});
+    std::string out;
+    EXPECT_EQ(0, runConnect(args, &out));
+    RpcRequest same;
+    same.cache = "dm:4kB";
+    same.trace = tracePath("conflict_dm.bst");
+    same.shards = same.jobs = 4294967295u;
+    TraceRegistry reg;
+    EXPECT_EQ(runStatsBody(same, reg) + "\n", out);
+    server.beginDrain();
+    srv.join();
 }
 
 /** Malformed and oversized frames get typed errors, then a close. */

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdlib>
+#include <filesystem>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "alt/column_assoc_cache.hh"
 #include "alt/hac_cache.hh"
@@ -14,7 +18,9 @@
 #include "cache/victim_cache.hh"
 #include "common/logging.hh"
 #include "mem/main_memory.hh"
+#include "sim/bsim_driver.hh"
 #include "sim/config.hh"
+#include "workload/trace_format.hh"
 
 namespace bsim {
 namespace {
@@ -161,6 +167,71 @@ TEST_F(JobsParsing, EnvFallsBackOnNegativeOrOverflowingValues)
     }
     ::setenv("BSIM_JOBS", "7", 1);
     EXPECT_EQ(defaultJobs(), 7u);
+}
+
+TEST(CountParsing, CheckedCountStopsAtUintMax)
+{
+    EXPECT_EQ(checkedCount(0), 0u);
+    EXPECT_EQ(checkedCount(4294967295u),
+              std::numeric_limits<unsigned>::max());
+    EXPECT_FALSE(checkedCount(4294967296u));
+    EXPECT_FALSE(checkedCount(4294967297u));
+}
+
+TEST(CountParsing, ParseCountKeepsStrtoullSyntaxWithoutWrapping)
+{
+    EXPECT_EQ(parseCount("0"), 0u);
+    EXPECT_EQ(parseCount("3"), 3u);
+    EXPECT_EQ(parseCount("0x10"), 16u);
+    EXPECT_EQ(parseCount("010"), 8u);
+    EXPECT_EQ(parseCount(" 3"), 3u);
+    EXPECT_EQ(parseCount("4294967295"),
+              std::numeric_limits<unsigned>::max());
+    for (const char *bad : {"4294967296", "4294967297", "0x100000000",
+                            "18446744073709551616", "-1", "-0", "", "3x",
+                            "x"})
+        EXPECT_FALSE(parseCount(bad)) << "'" << bad << "'";
+}
+
+/** Runs bsimMain over @p args with stdout captured; returns the code. */
+int
+runBsim(std::vector<std::string> args)
+{
+    args.insert(args.begin(), "bsim");
+    std::vector<char *> argv;
+    for (std::string &a : args)
+        argv.push_back(a.data());
+    argv.push_back(nullptr);
+    ::testing::internal::CaptureStdout();
+    const int rc = bsimMain(static_cast<int>(args.size()), argv.data());
+    ::testing::internal::GetCapturedStdout();
+    return rc;
+}
+
+TEST(BsimCountFlags, JobsAndShardsAcceptUintMaxAndRejectPastIt)
+{
+    const std::string trace =
+        (std::filesystem::temp_directory_path() /
+         ("bsim_count_flags_" + std::to_string(::getpid()) + ".bst"))
+            .string();
+    std::vector<MemAccess> records;
+    for (Addr a = 0; a < 300; ++a)
+        records.push_back({a * 64, AccessType::Read});
+    writeBst2Trace(trace, records, 64);
+    // 0 stays "default"; UINT_MAX is clamped to the chunk and job
+    // counts downstream, as any large count always was.
+    for (const char *n : {"0", "4294967295"})
+        EXPECT_EQ(0, runBsim({"--cache", "dm:4kB", "--trace", trace,
+                              "--shards", n, "--jobs", n, "--json"}))
+            << n;
+    for (const char *flag : {"--jobs", "--shards"})
+        for (const char *n : {"4294967296", "4294967297"})
+            EXPECT_EXIT(runBsim({flag, n, "--list-caches"}),
+                        ::testing::ExitedWithCode(2),
+                        std::string("bad ") + flag + " value '" + n +
+                            "': expected 0 \\(default\\) to "
+                            "4294967295");
+    std::filesystem::remove(trace);
 }
 
 } // namespace

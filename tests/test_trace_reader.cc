@@ -2,8 +2,11 @@
  * Unit tests for the streaming trace layer (workload/trace_reader and
  * workload/trace_format): BST2/BST1/Dinero/gzip round trips through
  * TraceReader spans at awkward chunk boundaries, shard windows, header
- * probing, truncation diagnostics, case-insensitive dispatch, and the
- * TraceStream adapter feeding the batched hot path.
+ * probing, truncation diagnostics, case-insensitive dispatch, the
+ * TraceStream adapter feeding the batched hot path, and the per-handle
+ * chunk-validation memo (each chunk checked once per shared mapping,
+ * a corrupt chunk failing every reader, concurrent readers racing into
+ * unchecked chunks).
  */
 
 #include <gtest/gtest.h>
@@ -12,8 +15,13 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <thread>
 
+#include "common/logging.hh"
 #include "common/random.hh"
+#include "sim/report.hh"
+#include "sim/sampling.hh"
+#include "sim/trace_replay.hh"
 #include "workload/generators.hh"
 #include "workload/trace.hh"
 #include "workload/trace_format.hh"
@@ -461,6 +469,170 @@ TEST_F(TraceReaderTest, CorruptChunkRecordCountIsFatal)
     std::fclose(f);
     EXPECT_EXIT(drain(*openTraceReader(path("cc.bst")), 64),
                 ::testing::ExitedWithCode(1), "malformed BST2 trace");
+}
+
+// ------------------------------------------------- per-handle chunk memo
+
+/** Enables fatal-throws mode for one scope (death tests need it off). */
+class ThrowingFatals
+{
+  public:
+    ThrowingFatals() : was_(fatalThrows()) { setFatalThrows(true); }
+    ~ThrowingFatals() { setFatalThrows(was_); }
+
+  private:
+    bool was_;
+};
+
+/** The FatalError message a drain of @p reader ends in ("" if none). */
+std::string
+drainError(TraceReader &reader)
+{
+    try {
+        drain(reader, 5);
+    } catch (const FatalError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST_F(TraceReaderTest, SecondReaderOverAHandleValidatesNothing)
+{
+    const auto in = sampleTrace(30); // chunkLen 8 -> 4 chunks
+    writeBst2Trace(path("memo.bst"), in, 8);
+    const TraceHandlePtr handle = openTraceHandle(path("memo.bst"));
+    EXPECT_EQ(handle->payloadValidations(), 0u)
+        << "validation is lazy: opening checks the header only";
+
+    // A window over chunks 1..2 validates just those two.
+    auto window = openTraceReader(handle, TraceShard{10, 10});
+    expectSame(drain(*window, 3), in, 10, 10);
+    EXPECT_EQ(handle->payloadValidations(), 2u);
+
+    auto first = openTraceReader(handle);
+    expectSame(drain(*first, 5), in);
+    EXPECT_EQ(handle->payloadValidations(), 4u)
+        << "only the two chunks the window skipped were new";
+
+    auto second = openTraceReader(handle);
+    expectSame(drain(*second, 7), in);
+    second->reset();
+    expectSame(drain(*second, 64), in);
+    EXPECT_EQ(handle->payloadValidations(), 4u)
+        << "a validated chunk is trusted by every later reader";
+}
+
+TEST_F(TraceReaderTest, CorruptChunkFailsEveryReaderThatEntersIt)
+{
+    const auto in = sampleTrace(30); // chunkLen 8 -> 4 chunks
+    writeBst2Trace(path("bad.bst"), in, 8);
+    // Bad type byte in record 19 (chunk 2).
+    std::FILE *f = std::fopen(path("bad.bst").c_str(), "r+b");
+    const long off =
+        long(kBst2HeaderBytes + 2 * (kBst2ChunkHeaderBytes +
+                                     8 * kBst2RecordBytes) +
+             kBst2ChunkHeaderBytes + 3 * kBst2RecordBytes + 8);
+    std::fseek(f, off, SEEK_SET);
+    std::fputc(0x77, f);
+    std::fclose(f);
+
+    ThrowingFatals throwing;
+    const TraceHandlePtr handle = openTraceHandle(path("bad.bst"));
+
+    // Before any good chunk has been validated: land straight in it.
+    auto early = openTraceReader(handle);
+    early->skipTo(17);
+    const std::string message = drainError(*early);
+    EXPECT_NE(message.find("malformed BST2 trace"), std::string::npos)
+        << message;
+    EXPECT_NE(message.find("record 19 has a bad type"), std::string::npos)
+        << message;
+    EXPECT_EQ(handle->payloadValidations(), 1u);
+
+    // The good chunks around it validate and replay normally...
+    auto head = openTraceReader(handle, TraceShard{0, 16});
+    expectSame(drain(*head, 5), in, 0, 16);
+    auto tail = openTraceReader(handle, TraceShard{24, 6});
+    expectSame(drain(*tail, 5), in, 24, 6);
+
+    // ...and after they have, every reader entering chunk 2 still fails
+    // with the same message: a failed check is never recorded.
+    for (int i = 0; i < 3; ++i) {
+        auto full = openTraceReader(handle);
+        EXPECT_EQ(drainError(*full), message) << "reader " << i;
+    }
+    EXPECT_EQ(handle->payloadValidations(), 7u)
+        << "3 good chunks once each, the bad one on all 4 entries";
+}
+
+/**
+ * Four threads replaying sampled and window slices over one fresh
+ * handle at once — racing into unvalidated chunks — must produce
+ * exactly what serial runs over a separate handle produce.
+ * (ctest -L concurrency; run under the tsan preset for the race half.)
+ */
+TEST(TraceHandleConcurrency, SampledAndWindowReplaysMatchSerialRuns)
+{
+    const std::string p =
+        (std::filesystem::temp_directory_path() /
+         ("bsim_handle_concurrency_" + std::to_string(::getpid()) +
+          ".bst"))
+            .string();
+    std::vector<MemAccess> in;
+    Rng rng(0xc0ffee);
+    for (int i = 0; i < 120000; ++i)
+        in.push_back({rng.nextBounded(1u << 15) * 16,
+                      i % 9 == 4 ? AccessType::Write : AccessType::Read});
+    writeBst2Trace(p, in, 2048); // 59 chunks
+
+    struct Job
+    {
+        const char *cache;
+        const char *sample; ///< empty: a window replay
+        TraceShard window;
+    };
+    const std::vector<Job> jobs = {
+        {"dm:8kB", "400:9000:800", {}},
+        {"bcache:8kB,mf=8,bas=8", "1000:15000:2000", {}},
+        {"sa:8kB,4w", "", {20000, 30000}},
+        {"bcache:8kB,mf=8,bas=8", "", {70000, 45000}},
+    };
+    auto run = [&p](const Job &job, const TraceHandlePtr &handle) {
+        TraceReplayOptions opts;
+        opts.handle = handle;
+        const CacheConfig cfg = parseCacheSpec(job.cache);
+        const MissRateResult r =
+            *job.sample ? runTraceSampled(p, cfg,
+                                          parseSamplePlan(job.sample),
+                                          opts)
+                        : runTraceReplay(p, cfg, job.window, opts);
+        return toStatsJson(r, "trace");
+    };
+
+    std::vector<std::string> serial;
+    {
+        const TraceHandlePtr handle = openTraceHandle(p);
+        for (const Job &job : jobs)
+            serial.push_back(run(job, handle));
+    }
+
+    const TraceHandlePtr shared = openTraceHandle(p);
+    std::vector<std::string> failures(jobs.size());
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < jobs.size(); ++t)
+        threads.emplace_back([&, t] {
+            for (int round = 0; round < 3; ++round)
+                if (run(jobs[t], shared) != serial[t]) {
+                    failures[t] = "round " + std::to_string(round) +
+                                  " diverged from the serial run";
+                    return;
+                }
+        });
+    for (std::thread &t : threads)
+        t.join();
+    for (std::size_t t = 0; t < jobs.size(); ++t)
+        EXPECT_EQ(failures[t], "") << jobs[t].cache << " job " << t;
+    std::filesystem::remove(p);
 }
 
 TEST(RecordingStreamLimit, CapsAndCountsOverflow)
