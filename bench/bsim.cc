@@ -1,13 +1,14 @@
 /**
  * @file
- * The bsim driver binary with perf telemetry and the serving layer
- * wired in: identical to examples/bsim_cli except that sweep-backed
+ * The bsim binary. `bsim --serve ...` is bsimd, the bsim-rpc-v1 server,
+ * and `bsim --connect ...` its client (src/serve); any other command
+ * line is the one-shot driver (sim/bsim_driver.hh), whose sweep-backed
  * runs (--shards) append a record to BENCH_perf.json via
- * bench::reportSweepPerf, and `bsim --serve` / `bsim --connect`
- * delegate to src/serve (bsimd and its client). See sim/bsim_driver.hh
- * for the flag set, docs/TRACES.md for the trace workflow and
- * docs/SERVE.md for the wire protocol.
+ * bench::reportSweepPerf. docs/TRACES.md covers the trace workflow and
+ * docs/SERVE.md the wire protocol.
  */
+
+#include <cstring>
 
 #include "bench/bench_json.hh"
 #include "serve/client.hh"
@@ -17,12 +18,18 @@
 int
 main(int argc, char **argv)
 {
+    if (argc > 1 && !std::strcmp(argv[1], "--serve")) {
+        // serveMain parses the flags after --serve.
+        argv[1] = argv[0];
+        return bsim::serve::serveMain(argc - 1, argv + 1);
+    }
+    if (argc > 1 && !std::strcmp(argv[1], "--connect"))
+        return bsim::serve::connectMain(argc, argv);
+
     bsim::BsimHooks hooks;
     hooks.onSweepDone = [](const std::string &config,
                            const bsim::SweepSummary &summary) {
         bsim::bench::reportSweepPerf("bsim", config, summary);
     };
-    hooks.serveMain = bsim::serve::serveMain;
-    hooks.connectMain = bsim::serve::connectMain;
     return bsim::bsimMain(argc, argv, hooks);
 }

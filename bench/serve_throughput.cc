@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "bench/bench_json.hh"
-#include "common/json.hh"
 #include "common/logging.hh"
 #include "common/strings.hh"
 #include "common/table.hh"
@@ -89,15 +88,12 @@ main(int argc, char **argv)
 
     setFatalThrows(true); // server-side failures become typed errors
 
-    JsonWriter j;
-    j.beginObject()
-        .kv("op", "run")
-        .kv("cache", "bcache:16kB,mf=8,bas=8")
-        .kv("workload", "gcc")
-        .kv("accesses", accesses)
-        .kv("stats", false)
-        .endObject();
-    const std::string payload = j.str();
+    RpcRequest req;
+    req.cache = "bcache:16kB,mf=8,bas=8";
+    req.accesses = accesses;
+    req.accessesSet = true;
+    req.stats = false;
+    const std::string payload = encodeRpcRequest(req);
 
     Table t({"clients", "requests", "req/s", "p50-ms", "p99-ms",
              "Macc/s"});

@@ -42,9 +42,7 @@ main()
             observe.enabled = true;
             const MissRateResult r = runMissRate(
                 b, StreamSide::Data, cfgs[i], n, kDefaultSeed, observe);
-            bsim_assert(r.observer,
-                        "table7 needs the observer (built with "
-                        "-DBSIM_NO_OBSERVE?)");
+            bsim_assert(r.observer, "table7 needs the observer");
             const BalanceReport br = analyzeBalance(
                 std::span<const SetUsage>(r.observer->perSet));
             t.row()

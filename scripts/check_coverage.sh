@@ -119,7 +119,7 @@ echo "check_coverage: src/{cache,sim,serve} line coverage ${coverage}%" \
 # spec grammar and the session runner are the entry points every
 # harness now funnels through, so a report that never ran them means
 # the gate is measuring the wrong binaries.
-for required in cache_spec.cc session.cc request.cc; do
+for required in cache_spec.cc session.cc run_request.cc; do
     if ! grep -A1 "File .*/$required" "$report" |
             grep -q "^Lines executed:[1-9]"; then
         echo "check_coverage: FAIL: no coverage recorded for" \

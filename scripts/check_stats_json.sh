@@ -40,10 +40,10 @@ fi
 doc=$(mktemp)
 sampled_doc=$(mktemp)
 trap 'rm -f "$doc" "$sampled_doc"' EXIT
-"$bsim" --kind bcache \
+"$bsim" --cache bcache:16kB,mf=8,bas=8 \
     --trace "$repo_root/examples/traces/conflict_dm.bst" \
     --interval 64 --stats-json "$doc" >/dev/null
-"$bsim" --kind bcache \
+"$bsim" --cache bcache:16kB,mf=8,bas=8 \
     --trace "$repo_root/examples/traces/conflict_dm.bst" \
     --sample 50:200:50 --stats-json "$sampled_doc" >/dev/null
 exec "$lint" "$doc" "$sampled_doc"

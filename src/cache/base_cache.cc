@@ -26,9 +26,8 @@ void
 BaseCache::writebackToNext(Addr block_addr)
 {
     ++stats_.writebacks;
-    if constexpr (kObserversEnabled)
-        if (cacheObs_)
-            cacheObs_->onWriteback();
+    if (cacheObs_)
+        cacheObs_->onWriteback();
     if (next_)
         next_->writeback(block_addr);
 }

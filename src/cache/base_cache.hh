@@ -56,13 +56,10 @@ class BaseCache : public MemLevel
      * the pointer the batched fast paths already hoist, so observation
      * adds no per-hit work. A cache therefore carries either a stats
      * observer or a plain line observer (drowsy estimation), not both.
-     * No-op when the hooks were compiled out (-DBSIM_NO_OBSERVE).
      */
     void
     setCacheObserver(CacheObserver *obs)
     {
-        if constexpr (!kObserversEnabled)
-            return;
         cacheObs_ = obs;
         observer_ = obs;
     }
@@ -110,25 +107,22 @@ class BaseCache : public MemLevel
     LineAccessObserver *lineObserver() const { return observer_; }
 
     /**
-     * Miss-path observer notifications (cache/cache_observer.hh). All
-     * compile to nothing under -DBSIM_NO_OBSERVE; otherwise one
+     * Miss-path observer notifications (cache/cache_observer.hh): one
      * predictable null check when no observer is attached. Kept out of
      * the hit path entirely — hits report via recordLineOnly().
      */
     void
     observeInstall(std::size_t physical_line)
     {
-        if constexpr (kObserversEnabled)
-            if (cacheObs_)
-                cacheObs_->onInstall(physical_line);
+        if (cacheObs_)
+            cacheObs_->onInstall(physical_line);
     }
 
     void
     observeDecoderReprogram(std::size_t group)
     {
-        if constexpr (kObserversEnabled)
-            if (cacheObs_)
-                cacheObs_->onDecoderReprogram(group);
+        if (cacheObs_)
+            cacheObs_->onDecoderReprogram(group);
     }
 
     /**

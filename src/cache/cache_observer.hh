@@ -12,12 +12,9 @@
  * adds no new work per hit and the extended hooks only fire on the
  * (orders-of-magnitude rarer) miss path.
  *
- * Compile-time kill switch: building with -DBSIM_NO_OBSERVE compiles the
- * engine's notification sites out entirely (kObserversEnabled == false),
- * for deployments that want provably zero overhead — including the null
- * pointer checks. The default build keeps the hooks; with no observer
- * attached the only residual cost is one predictable branch per
- * miss-path event (tests/perf_batch_smoke.cc gates the hot loop).
+ * With no observer attached the only residual cost is one predictable
+ * branch per miss-path event (tests/perf_batch_smoke.cc gates the hot
+ * loop).
  */
 
 #ifndef BSIM_CACHE_CACHE_OBSERVER_HH
@@ -26,13 +23,6 @@
 #include <cstddef>
 
 namespace bsim {
-
-/** True unless the hooks were compiled out with -DBSIM_NO_OBSERVE. */
-#ifdef BSIM_NO_OBSERVE
-inline constexpr bool kObserversEnabled = false;
-#else
-inline constexpr bool kObserversEnabled = true;
-#endif
 
 /**
  * Observer of per-line access activity (e.g. the drowsy-leakage

@@ -4,7 +4,6 @@
 #include <cctype>
 #include <cstdlib>
 
-#include "common/json.hh"
 #include "common/logging.hh"
 #include "common/strings.hh"
 
@@ -591,47 +590,6 @@ operator==(const CacheConfig &a, const CacheConfig &b)
         return true;
     }
     return false;
-}
-
-// ---------------------------------------------------------------------
-// JSON form
-
-CacheConfig
-cacheSpecFromJson(const JsonValue &v)
-{
-    if (!v.isObject())
-        throw CacheSpecError("cache spec JSON must be an object");
-    // Funnel through the string grammar: one parser, one error set.
-    const JsonValue *kind = v.find("kind");
-    if (!kind || !kind->isString())
-        throw CacheSpecError(
-            "cache spec JSON needs a string \"kind\" member");
-    std::string spec = kind->string + ":";
-    const JsonValue *size = v.find("size");
-    if (!size || !(size->isString() || size->isNumber()))
-        throw CacheSpecError("cache spec JSON needs a \"size\" member "
-                             "(a byte count or a size string)");
-    // Numbers keep their verbatim source lexeme in `string`.
-    spec += size->string;
-    for (const auto &[key, val] : v.object) {
-        if (key == "kind" || key == "size")
-            continue;
-        std::string value;
-        if (val.isString())
-            value = val.string;
-        else if (val.isNumber())
-            value = val.string; // verbatim integer lexeme
-        else
-            throw CacheSpecError("cache spec JSON member \"" + key +
-                                 "\" must be a string or number");
-        if (key == "ways")
-            spec += "," + value + "w";
-        else if (key == "entries")
-            spec += "," + value + "e";
-        else
-            spec += "," + key + "=" + value;
-    }
-    return parseCacheSpec(spec);
 }
 
 // ---------------------------------------------------------------------

@@ -54,7 +54,6 @@
 namespace bsim {
 
 struct BCacheParams;
-struct JsonValue;
 
 /** Which organisation a CacheConfig describes. */
 enum class CacheKind : std::uint8_t {
@@ -258,13 +257,6 @@ CacheConfig parseCacheSpec(const std::string &spec);
  * tests/test_cache_spec.cc).
  */
 std::string printCacheSpec(const CacheConfig &config);
-
-/**
- * Parse the JSON object form: {"kind": "bcache", "size": "16kB",
- * "mf": 8, ...} — keys match the grammar's parameter names, size-valued
- * fields accept either a number or a size string. Throws CacheSpecError.
- */
-CacheConfig cacheSpecFromJson(const JsonValue &v);
 
 /** The `--list-caches` readout: one block per registered variant. */
 std::string listCacheSpecs();

@@ -55,8 +55,7 @@
  * batched fast paths already hoist (no new hit-path work); the engine's
  * run() core fires the miss-path hook set — onWriteback (via
  * writebackToNext), onDecoderReprogram (from a variant's install hook),
- * onInstall — in program order for every variant. -DBSIM_NO_OBSERVE
- * compiles every notification site out.
+ * onInstall — in program order for every variant.
  */
 
 #ifndef BSIM_CACHE_TAG_ARRAY_ENGINE_HH

@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <limits>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -185,146 +184,89 @@ connectUsage(const char *msg = nullptr)
     std::exit(2);
 }
 
-std::uint64_t
-parseU64Flag(const char *s)
+/** Split TARGET: a trailing all-digit component after ':' means TCP. */
+void
+parseTarget(const std::string &target, ConnectArgs &a)
 {
-    char *end = nullptr;
-    const std::uint64_t v = std::strtoull(s, &end, 0);
-    if (end == s || *end)
-        connectUsage("bad number");
-    return v;
-}
-
-/** --jobs/--shards: 0 (the default) up to UINT_MAX, never wrapped. */
-unsigned
-parseCountFlag(const char *flag, const char *s)
-{
-    if (const auto n = parseCount(s))
-        return *n;
-    const std::string msg =
-        std::string("bad ") + flag + " value '" + s +
-        "': expected 0 (default) to " +
-        std::to_string(std::numeric_limits<unsigned>::max());
-    connectUsage(msg.c_str());
+    const std::size_t colon = target.rfind(':');
+    if (colon == std::string::npos || colon + 1 == target.size() ||
+        target.find_first_not_of("0123456789", colon + 1) !=
+            std::string::npos) {
+        a.socketPath = target;
+        return;
+    }
+    if (colon > 0)
+        a.host = target.substr(0, colon);
+    const std::string port = target.substr(colon + 1);
+    const std::optional<std::uint64_t> n = parseU64(port);
+    if (!n || *n < 1 || *n > 65535)
+        throw UsageError("bad --connect port '" + port +
+                         "': expected 1 to 65535");
+    a.port = static_cast<int>(*n);
 }
 
 } // namespace
 
-int
-connectMain(int argc, char **argv)
+ConnectArgs
+parseConnectArgs(int argc, char **argv)
 {
-    std::string target;
-    std::string op = "run";
-    RpcRequest req;
-    std::uint64_t repeat = 1;
-
-    for (int i = 1; i < argc; ++i) {
-        auto need = [&](const char *flag) -> const char * {
-            if (i + 1 >= argc)
-                connectUsage(flag);
-            return argv[++i];
-        };
-        if (!std::strcmp(argv[i], "--connect"))
-            target = need("--connect");
-        else if (!std::strcmp(argv[i], "--cache"))
-            req.cache = need("--cache");
-        else if (!std::strcmp(argv[i], "--trace"))
-            req.trace = need("--trace");
-        else if (!std::strcmp(argv[i], "--workload"))
-            req.workload = need("--workload");
-        else if (!std::strcmp(argv[i], "--side"))
-            req.side = need("--side");
-        else if (!std::strcmp(argv[i], "--sample"))
-            req.sample = need("--sample");
-        else if (!std::strcmp(argv[i], "--shards"))
-            req.shards = parseCountFlag("--shards", need("--shards"));
-        else if (!std::strcmp(argv[i], "--jobs"))
-            req.jobs = parseCountFlag("--jobs", need("--jobs"));
-        else if (!std::strcmp(argv[i], "--accesses")) {
-            req.accesses = parseU64Flag(need("--accesses"));
-            req.accessesSet = true;
-        } else if (!std::strcmp(argv[i], "--seed"))
-            req.seed = parseU64Flag(need("--seed"));
-        else if (!std::strcmp(argv[i], "--batch"))
-            req.batch = static_cast<std::size_t>(
-                parseU64Flag(need("--batch")));
-        else if (!std::strcmp(argv[i], "--json"))
-            req.stats = false;
-        else if (!std::strcmp(argv[i], "--deadline-ms"))
-            req.deadlineMs = parseU64Flag(need("--deadline-ms"));
-        else if (!std::strcmp(argv[i], "--repeat"))
-            repeat = parseU64Flag(need("--repeat"));
-        else if (!std::strcmp(argv[i], "--ping"))
-            op = "ping";
-        else if (!std::strcmp(argv[i], "--metrics"))
-            op = "metrics";
-        else if (!std::strcmp(argv[i], "--list-caches"))
-            op = "list-caches";
-        else if (!std::strcmp(argv[i], "--list-traces"))
-            op = "list-traces";
-        else if (!std::strcmp(argv[i], "--help") ||
-                 !std::strcmp(argv[i], "-h"))
-            connectUsage();
-        else
-            connectUsage(argv[i]);
+    ConnectArgs a;
+    bool haveTarget = false;
+    try {
+        for (int i = 1; i < argc; ++i) {
+            if (readRunFlag(argc, argv, i, a.request))
+                continue;
+            const std::string arg = argv[i];
+            const auto value = [&]() -> std::string {
+                if (i + 1 >= argc)
+                    throw UsageError(arg + " needs a value");
+                return argv[++i];
+            };
+            // --ping, --metrics, --list-caches, --list-traces.
+            const RpcRequest::Op op =
+                arg.starts_with("--")
+                    ? rpcOpFromName(arg.substr(2))
+                          .value_or(RpcRequest::Op::Run)
+                    : RpcRequest::Op::Run;
+            if (arg == "--connect") {
+                parseTarget(value(), a);
+                haveTarget = true;
+            } else if (op != RpcRequest::Op::Run) {
+                a.request.op = op;
+            } else if (arg == "--json") {
+                a.request.stats = false;
+            } else if (arg == "--deadline-ms") {
+                a.request.deadlineMs = u64Flag(arg, value());
+            } else if (arg == "--repeat") {
+                a.repeat = u64Flag(arg, value());
+            } else if (arg == "--help" || arg == "-h") {
+                connectUsage();
+            } else {
+                throw UsageError("unknown flag '" + arg + "'");
+            }
+        }
+    } catch (const UsageError &e) {
+        connectUsage(e.what());
     }
-    if (target.empty())
+    if (!haveTarget)
         connectUsage("--connect TARGET is required");
-    if (op == "run" && req.cache.empty())
+    if (a.request.op == RpcRequest::Op::Run && a.request.cache.empty())
         connectUsage("run requests need --cache "
                      "(or pick --ping/--metrics/--list-caches/"
                      "--list-traces)");
+    return a;
+}
 
-    // Build the request payload.
-    JsonWriter j;
-    j.beginObject().kv("op", op);
-    if (op == "run") {
-        j.kv("cache", req.cache);
-        if (!req.trace.empty())
-            j.kv("trace", req.trace);
-        else {
-            j.kv("workload", req.workload);
-            j.kv("side", req.side);
-            j.kv("seed", req.seed);
-        }
-        if (!req.sample.empty())
-            j.kv("sample", req.sample);
-        if (req.shards)
-            j.kv("shards", req.shards);
-        if (req.jobs)
-            j.kv("jobs", req.jobs);
-        if (req.accessesSet)
-            j.kv("accesses", req.accesses);
-        if (req.batch)
-            j.kv("batch", std::uint64_t(req.batch));
-        if (!req.stats)
-            j.kv("stats", false);
-        if (req.deadlineMs)
-            j.kv("deadline_ms", req.deadlineMs);
-    }
-    j.endObject();
-    const std::string payload = j.str();
-
-    // TARGET: trailing all-digit component after ':' means TCP.
-    bool tcp = false;
-    std::string host = "127.0.0.1";
-    int port = 0;
-    const std::size_t colon = target.rfind(':');
-    if (colon != std::string::npos &&
-        colon + 1 < target.size() &&
-        target.find_first_not_of("0123456789", colon + 1) ==
-            std::string::npos) {
-        tcp = true;
-        if (colon > 0)
-            host = target.substr(0, colon);
-        port = std::atoi(target.c_str() + colon + 1);
-    }
-
+int
+connectMain(int argc, char **argv)
+{
+    const ConnectArgs a = parseConnectArgs(argc, argv);
+    const std::string payload = encodeRpcRequest(a.request);
     try {
-        RpcClient client = tcp ? RpcClient::connectTcp(host, port)
-                               : RpcClient::connectUnix(target);
+        RpcClient client = a.port ? RpcClient::connectTcp(a.host, a.port)
+                                  : RpcClient::connectUnix(a.socketPath);
         int rc = 0;
-        for (std::uint64_t n = 0; n < repeat; ++n) {
+        for (std::uint64_t n = 0; n < a.repeat; ++n) {
             const RpcResult result =
                 decodeResult(client.call(payload));
             if (!result.ok) {

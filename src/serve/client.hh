@@ -1,12 +1,11 @@
 /**
  * @file
  * The bsim-rpc-v1 client: a blocking request/response connection to a
- * bsimd server, plus connectMain() — the CLI behind `bsim --connect`
- * and the examples/bsimd_client binary. A successful `run` response's
- * body is printed to stdout followed by one newline, which makes
- * `bsim --connect ... --cache S --trace T` byte-identical to
- * `bsim --cache S --trace T --stats-json -` (the bit-identity contract
- * tests/test_serve.cc pins).
+ * bsimd server, plus connectMain() — the CLI behind `bsim --connect`.
+ * A successful `run` response's body is printed to stdout followed by
+ * one newline, which makes `bsim --connect ... --cache S --trace T`
+ * byte-identical to `bsim --cache S --trace T --stats-json -` (the
+ * bit-identity contract tests/test_serve.cc pins).
  */
 
 #ifndef BSIM_SERVE_CLIENT_HH
@@ -82,10 +81,27 @@ struct RpcResult
  */
 RpcResult decodeResult(const std::string &payload);
 
+/** A parsed `bsim --connect` command line. */
+struct ConnectArgs
+{
+    std::string socketPath; ///< unix-socket target ("" for TCP)
+    std::string host = "127.0.0.1";
+    int port = 0;           ///< TCP port 1-65535; 0 for a unix socket
+    RpcRequest request;
+    std::uint64_t repeat = 1;
+};
+
 /**
- * The client CLI: `--connect TARGET` (a unix socket path, or
- * HOST:PORT / :PORT for TCP) plus request-building flags mirroring the
- * bsim driver's (--cache/--trace/--sample/--shards/...). Prints the
+ * Parse `--connect TARGET` (a unix socket path, or HOST:PORT / :PORT
+ * for TCP) plus the run flags of the bsim driver (sim/run_request.hh),
+ * `--json`, `--deadline-ms N`, `--repeat N` and the control-plane op
+ * flags. Usage errors, a TCP port outside 1-65535 included, print the
+ * usage text and exit(2) before any connection is made.
+ */
+ConnectArgs parseConnectArgs(int argc, char **argv);
+
+/**
+ * The client CLI: send the request of parseConnectArgs() and print the
  * response body to stdout; typed errors go to stderr with exit 1.
  */
 int connectMain(int argc, char **argv);

@@ -1,12 +1,7 @@
 #include "serve/request.hh"
 
-#include <optional>
-
 #include "common/json.hh"
 #include "common/logging.hh"
-#include "sim/report.hh"
-#include "sim/trace_replay.hh"
-#include "workload/spec2k.hh"
 
 namespace bsim {
 namespace serve {
@@ -80,90 +75,26 @@ listTracesBody(TraceRegistry &traces)
 std::string
 runStatsBody(const RpcRequest &req, TraceRegistry &traces)
 {
-    const CacheConfig cfg = parseCacheSpec(req.cache);
-    std::optional<SamplePlan> sample;
-    if (!req.sample.empty())
-        sample = parseSamplePlan(req.sample);
-
-    std::string trace_path;
-    TraceHandlePtr handle;
-    if (!req.trace.empty()) {
+    const auto resolve = [&traces](const std::string &name) {
+        TraceHandlePtr handle;
         try {
-            handle = traces.get(req.trace);
+            handle = traces.get(name);
         } catch (const FatalError &e) {
             throw UnknownTraceError(e.what());
         }
         if (!handle)
-            throw UnknownTraceError("unknown trace '" + req.trace +
+            throw UnknownTraceError("unknown trace '" + name +
                                     "' (op 'list-traces' enumerates "
                                     "the registry)");
-        trace_path = handle->path();
-    }
-    if (req.shards > 0 && trace_path.empty())
-        throw FatalError("'shards' needs a 'trace'");
-
-    // The observer policy is the CLI's: a stats body behaves exactly
-    // like `--stats-json -` (observer on for full runs), the compact
-    // body like bare `--json` (observer off). Matching this is half of
-    // the byte-identity contract; the other half is calling the same
-    // run functions with the same options below.
-    StatsExport ex;
-    if (req.stats)
-        ex.statsJsonPath = "-";
-
-    if (req.shards > 0) {
-        SweepOptions opts;
-        opts.jobs = req.jobs;
-        TraceReplayOptions replay;
-        replay.batchLen = req.batch;
-        replay.handle = handle;
-        if (sample)
-            replay.maxAccesses = req.accessesSet ? req.accesses : 0;
-        else
-            replay.observe = ex.observerConfig();
-        const TraceSweepResult res =
-            sample ? runTraceSampledSharded(trace_path, cfg, *sample,
-                                            req.shards, opts, replay)
-                   : runTraceSharded(trace_path, cfg, req.shards, opts,
-                                     replay);
-        if (req.stats)
-            return toStatsJson(res, "trace:" + trace_path, cfg.label);
-        std::string out = "[";
-        for (std::size_t i = 0; i < res.shards.size(); ++i)
-            out += (i ? ",\n " : "") + toJson(res.shards[i]);
-        return out + "]";
-    }
-
-    MissRateResult r;
-    if (!trace_path.empty()) {
-        TraceReplayOptions opts;
-        opts.maxAccesses = req.accessesSet ? req.accesses : 0;
-        opts.batchLen = req.batch;
-        opts.handle = handle;
-        if (sample) {
-            r = runTraceSampled(trace_path, cfg, *sample, opts);
-        } else {
-            opts.observe = ex.observerConfig();
-            r = runTraceReplay(trace_path, cfg, TraceShard{}, opts);
-        }
-    } else {
-        if (!isSpec2kName(req.workload))
-            throw FatalError("unknown workload '" + req.workload + "'");
-        const StreamSide s = req.side == "inst" ? StreamSide::Inst
-                                                : StreamSide::Data;
-        const std::uint64_t accesses =
-            req.accessesSet ? req.accesses : 1'000'000;
-        if (sample)
-            r = runMissRateSampled(req.workload, s, cfg, accesses,
-                                   *sample, req.seed);
-        else
-            r = runMissRate(req.workload, s, cfg, accesses, req.seed,
-                            ex.observerConfig());
-    }
-    if (req.stats)
-        return toStatsJson(r, trace_path.empty() ? "workload"
-                                                 : "trace");
-    return toJson(r);
+        return handle;
+    };
+    // A stats body is `--stats-json -` (observer on for full runs), the
+    // compact body bare `--json` (observer off): with the shared
+    // dispatch, that makes both byte-identical to the CLI.
+    ObserverConfig observe;
+    observe.enabled = req.stats;
+    const RunOutcome outcome = dispatchRun(req, observe, resolve);
+    return req.stats ? statsBody(outcome) : compactBody(outcome);
 }
 
 std::string

@@ -1,10 +1,9 @@
 #include "serve/rpc.hh"
 
-#include <limits>
+#include <utility>
 
 #include "common/json.hh"
 #include "common/logging.hh"
-#include "sim/config.hh"
 
 namespace bsim {
 namespace serve {
@@ -43,31 +42,35 @@ fail(std::string *error, const std::string &msg)
     return false;
 }
 
-/** Read an unsigned integer member; false + error on a wrong type. */
-bool
-readU64(const JsonValue &v, const std::string &key, std::uint64_t *out,
-        std::string *error)
-{
-    if (!v.isNumber() || v.number < 0 ||
-        v.number != static_cast<double>(
-                        static_cast<std::uint64_t>(v.number)))
-        return fail(error, "field '" + key +
-                               "' must be a non-negative integer");
-    *out = static_cast<std::uint64_t>(v.number);
-    return true;
-}
+constexpr std::pair<const char *, RpcRequest::Op> kOps[] = {
+    {"run", RpcRequest::Op::Run},
+    {"ping", RpcRequest::Op::Ping},
+    {"metrics", RpcRequest::Op::Metrics},
+    {"list-caches", RpcRequest::Op::ListCaches},
+    {"list-traces", RpcRequest::Op::ListTraces},
+};
 
-bool
-readString(const JsonValue &v, const std::string &key, std::string *out,
-           std::string *error)
+RpcRequest::Op
+readOp(const JsonValue &value)
 {
-    if (!v.isString())
-        return fail(error, "field '" + key + "' must be a string");
-    *out = v.string;
-    return true;
+    if (!value.isString())
+        throw UsageError("field 'op' must be a string");
+    if (const std::optional<RpcRequest::Op> op = rpcOpFromName(value.string))
+        return *op;
+    throw UsageError("unknown op '" + value.string +
+                     "' (run, ping, metrics, list-caches, list-traces)");
 }
 
 } // namespace
+
+std::optional<RpcRequest::Op>
+rpcOpFromName(std::string_view name)
+{
+    for (const auto &[text, op] : kOps)
+        if (name == text)
+            return op;
+    return std::nullopt;
+}
 
 std::optional<RpcRequest>
 parseRpcRequest(const std::string &payload, std::string *error)
@@ -85,83 +88,23 @@ parseRpcRequest(const std::string &payload, std::string *error)
     }
 
     RpcRequest req;
-    for (const auto &[key, value] : doc->object) {
-        std::uint64_t u = 0;
-        if (key == "op") {
-            std::string op;
-            if (!readString(value, key, &op, error))
-                return std::nullopt;
-            if (op == "run")
-                req.op = RpcRequest::Op::Run;
-            else if (op == "ping")
-                req.op = RpcRequest::Op::Ping;
-            else if (op == "metrics")
-                req.op = RpcRequest::Op::Metrics;
-            else if (op == "list-caches")
-                req.op = RpcRequest::Op::ListCaches;
-            else if (op == "list-traces")
-                req.op = RpcRequest::Op::ListTraces;
-            else {
-                fail(error, "unknown op '" + op +
-                                "' (run, ping, metrics, list-caches, "
-                                "list-traces)");
-                return std::nullopt;
+    try {
+        for (const auto &[key, value] : doc->object) {
+            if (key == "op") {
+                req.op = readOp(value);
+            } else if (key == "stats") {
+                if (!value.isBool())
+                    throw UsageError("field 'stats' must be a boolean");
+                req.stats = value.boolean;
+            } else if (key == "deadline_ms") {
+                req.deadlineMs = readJsonU64(key, value);
+            } else {
+                readRunField(req, key, value);
             }
-        } else if (key == "cache") {
-            if (!readString(value, key, &req.cache, error))
-                return std::nullopt;
-        } else if (key == "trace") {
-            if (!readString(value, key, &req.trace, error))
-                return std::nullopt;
-        } else if (key == "workload") {
-            if (!readString(value, key, &req.workload, error))
-                return std::nullopt;
-        } else if (key == "side") {
-            if (!readString(value, key, &req.side, error))
-                return std::nullopt;
-            if (req.side != "data" && req.side != "inst") {
-                fail(error, "field 'side' must be 'data' or 'inst'");
-                return std::nullopt;
-            }
-        } else if (key == "sample") {
-            if (!readString(value, key, &req.sample, error))
-                return std::nullopt;
-        } else if (key == "shards" || key == "jobs") {
-            if (!readU64(value, key, &u, error))
-                return std::nullopt;
-            const std::optional<unsigned> n = checkedCount(u);
-            if (!n) {
-                fail(error,
-                     "field '" + key + "' must be at most " +
-                         std::to_string(
-                             std::numeric_limits<unsigned>::max()));
-                return std::nullopt;
-            }
-            (key == "shards" ? req.shards : req.jobs) = *n;
-        } else if (key == "accesses") {
-            if (!readU64(value, key, &req.accesses, error))
-                return std::nullopt;
-            req.accessesSet = true;
-        } else if (key == "seed") {
-            if (!readU64(value, key, &req.seed, error))
-                return std::nullopt;
-        } else if (key == "batch") {
-            if (!readU64(value, key, &u, error))
-                return std::nullopt;
-            req.batch = static_cast<std::size_t>(u);
-        } else if (key == "stats") {
-            if (!value.isBool()) {
-                fail(error, "field 'stats' must be a boolean");
-                return std::nullopt;
-            }
-            req.stats = value.boolean;
-        } else if (key == "deadline_ms") {
-            if (!readU64(value, key, &req.deadlineMs, error))
-                return std::nullopt;
-        } else {
-            fail(error, "unknown field '" + key + "'");
-            return std::nullopt;
         }
+    } catch (const UsageError &e) {
+        fail(error, e.what());
+        return std::nullopt;
     }
 
     if (req.op == RpcRequest::Op::Run && req.cache.empty()) {
@@ -170,6 +113,24 @@ parseRpcRequest(const std::string &payload, std::string *error)
         return std::nullopt;
     }
     return req;
+}
+
+std::string
+encodeRpcRequest(const RpcRequest &req)
+{
+    JsonWriter j;
+    j.beginObject();
+    for (const auto &[text, op] : kOps)
+        if (op == req.op)
+            j.kv("op", text);
+    if (req.op == RpcRequest::Op::Run) {
+        writeRunFields(j, req);
+        if (!req.stats)
+            j.kv("stats", false);
+        if (req.deadlineMs)
+            j.kv("deadline_ms", req.deadlineMs);
+    }
+    return j.endObject().str();
 }
 
 std::string

@@ -22,9 +22,9 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 
-#include "sim/runner.hh"
-#include "sim/sampling.hh"
+#include "sim/run_request.hh"
 
 namespace bsim {
 namespace serve {
@@ -44,8 +44,12 @@ enum class RpcErrorCode : std::uint8_t {
 /** The wire slug ("overloaded", "bad-request", ...). */
 const char *rpcErrorName(RpcErrorCode code);
 
-/** One parsed bsim-rpc-v1 request. */
-struct RpcRequest
+/**
+ * One parsed bsim-rpc-v1 request: the run it describes (the same
+ * RunRequest the `bsim` flags fill; control-plane ops ignore it) plus
+ * the three fields that only the wire has.
+ */
+struct RpcRequest : RunRequest
 {
     enum class Op : std::uint8_t {
         Run,        ///< execute a cache-spec session, return its stats
@@ -56,19 +60,6 @@ struct RpcRequest
     };
 
     Op op = Op::Run;
-
-    // ---- op:"run" fields (mirroring the CLI flags) ----
-    std::string cache;            ///< cache spec string (required)
-    std::string trace;            ///< registry name or path; "" = synthetic
-    std::string workload = "gcc"; ///< synthetic workload (no trace)
-    std::string side = "data";    ///< "data" | "inst"
-    std::string sample;           ///< "U:P:W" plan; "" = full run
-    unsigned shards = 0;          ///< >0: sharded parallel replay
-    unsigned jobs = 0;            ///< sweep threads for shards (0 = auto)
-    std::uint64_t accesses = 0;
-    bool accessesSet = false;     ///< mirrors the CLI accesses_set flag
-    std::uint64_t seed = kDefaultSeed;
-    std::size_t batch = 0;        ///< accessBatch span length
     /**
      * true (default): the body is the bsim-stats-v1 document (observer
      * enabled exactly as `--stats-json -` does). false: the compact
@@ -79,6 +70,8 @@ struct RpcRequest
 
     /** Admission deadline in ms (0 = none): expire if not started. */
     std::uint64_t deadlineMs = 0;
+
+    bool operator==(const RpcRequest &) const = default;
 };
 
 /**
@@ -88,6 +81,16 @@ struct RpcRequest
  */
 std::optional<RpcRequest> parseRpcRequest(const std::string &payload,
                                           std::string *error);
+
+/**
+ * The request payload parseRpcRequest() reads back as @p req: the op,
+ * then for `run` the fields writeRunFields() writes, `stats` when false
+ * and `deadline_ms` when set.
+ */
+std::string encodeRpcRequest(const RpcRequest &req);
+
+/** The op a `--ping`-style name selects ("run", "ping", ...). */
+std::optional<RpcRequest::Op> rpcOpFromName(std::string_view name);
 
 /** {"bsim-rpc":"v1","ok":true,"body":<body, embedded verbatim>} */
 std::string okEnvelope(const std::string &body);

@@ -19,6 +19,7 @@
 
 #include "common/logging.hh"
 #include "serve/request.hh"
+#include "sim/config.hh"
 
 namespace bsim {
 namespace serve {
@@ -392,6 +393,14 @@ serveMain(int argc, char **argv)
                 serveUsage(flag);
             return argv[++i];
         };
+        // countFlag/u64Flag: the bsim front ends' checked numbers.
+        auto number = [&](auto parse, const char *flag) {
+            try {
+                return parse(flag, need(flag));
+            } catch (const UsageError &e) {
+                serveUsage(e.what());
+            }
+        };
         if (!std::strcmp(argv[i], "--socket")) {
             opt.unixPath = need("--socket");
         } else if (!std::strcmp(argv[i], "--tcp")) {
@@ -402,24 +411,19 @@ serveMain(int argc, char **argv)
                 opt.tcpHost = spec.substr(0, colon);
                 port = spec.substr(colon + 1);
             }
-            char *end = nullptr;
-            opt.tcpPort =
-                static_cast<int>(std::strtol(port.c_str(), &end, 10));
-            if (end == port.c_str() || *end || opt.tcpPort < 0 ||
-                opt.tcpPort > 65535)
+            const std::optional<std::uint64_t> n = parseU64(port);
+            if (!n || *n > 65535)
                 serveUsage("bad --tcp port");
+            opt.tcpPort = static_cast<int>(*n);
         } else if (!std::strcmp(argv[i], "--workers")) {
-            opt.workers =
-                static_cast<unsigned>(std::atoi(need("--workers")));
+            opt.workers = number(countFlag, "--workers");
         } else if (!std::strcmp(argv[i], "--queue")) {
-            opt.queueCapacity =
-                static_cast<std::size_t>(std::atoi(need("--queue")));
+            opt.queueCapacity = number(countFlag, "--queue");
         } else if (!std::strcmp(argv[i], "--max-frame")) {
-            opt.maxFramePayload = static_cast<std::size_t>(
-                std::strtoull(need("--max-frame"), nullptr, 0));
+            opt.maxFramePayload =
+                static_cast<std::size_t>(number(u64Flag, "--max-frame"));
         } else if (!std::strcmp(argv[i], "--idle-timeout-ms")) {
-            opt.idleTimeoutMs = static_cast<std::uint64_t>(
-                std::strtoull(need("--idle-timeout-ms"), nullptr, 0));
+            opt.idleTimeoutMs = number(u64Flag, "--idle-timeout-ms");
         } else if (!std::strcmp(argv[i], "--trace")) {
             const std::string spec = need("--trace");
             const std::size_t eq = spec.find('=');

@@ -1,12 +1,8 @@
 #include "sim/bsim_driver.hh"
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <limits>
 #include <string>
-#include <vector>
 
 #include "common/logging.hh"
 #include "common/strings.hh"
@@ -14,7 +10,6 @@
 #include "observe/export.hh"
 #include "power/cacti_lite.hh"
 #include "sim/config.hh"
-#include "sim/experiment_file.hh"
 #include "sim/report.hh"
 #include "sim/trace_replay.hh"
 #include "timing/storage_model.hh"
@@ -34,17 +29,11 @@ usage(const char *msg = nullptr)
     std::fprintf(stderr,
                  "usage: bsim [--cache SPEC] [--list-caches]\n"
                  "  --cache SPEC     declarative cache spec, e.g. "
-                 "bcache:16kB,mf=8,bas=8,\n"
-                 "                   sa:16kB,8w, dm:16kB+victim:16 "
-                 "(--list-caches for the\n"
-                 "                   registered grammar; overrides the "
-                 "--kind family)\n"
-                 "  [--kind dm|setassoc|victim|bcache|"
-                 "column|skewed|hac|xor]\n"
-                 "  [--size B] [--line B] [--ways N] [--mf N] [--bas N]"
-                 "\n"
-                 "  [--repl lru|random|fifo|plru|nmru] "
-                 "[--write-policy wb|wt]\n"
+                 "bcache:16kB,mf=8,bas=8\n"
+                 "                   (the default), sa:16kB,8w, "
+                 "dm:16kB+victim:16\n"
+                 "                   (--list-caches for the registered "
+                 "grammar)\n"
                  "  [--workload NAME] [--side data|inst] [--seed N]\n"
                  "  [--trace FILE]   replay a trace (.bst, .din/text, "
                  "or either .gz);\n"
@@ -71,6 +60,13 @@ usage(const char *msg = nullptr)
                  "(EXPERIMENTS.md\n"
                  "                   cookbook; not with --timed/"
                  "--heatmap/--interval)\n"
+                 "  [--config FILE]  a JSON run request keyed by the run "
+                 "flags --cache\n"
+                 "                   to --sample above, without the "
+                 "dashes, e.g.\n"
+                 "                   {\"cache\":\"dm:16kB\",\"seed\":7}; "
+                 "flags given AFTER\n"
+                 "                   it override it (docs/SERVE.md §4)\n"
                  "  [--trace-info FILE]  print a trace's header/format "
                  "and exit\n"
                  "  [--timed]        OOO-core/Table-4 processor model "
@@ -91,7 +87,8 @@ usage(const char *msg = nullptr)
                  "accesses;\n"
                  "                   embedded in --stats-json, or CSV to "
                  "stdout\n"
-                 "  [--json] [--config FILE]\n"
+                 "  [--json]         compact JSON record instead of the "
+                 "report\n"
                  "  --serve ...      run as bsimd, the bsim-rpc-v1 "
                  "simulation server\n"
                  "                   (bsim --serve --help; docs/SERVE.md)"
@@ -99,33 +96,19 @@ usage(const char *msg = nullptr)
                  "  --connect TARGET send one request to a running bsimd "
                  "and print\n"
                  "                   the response body (bsim --connect "
-                 "--help)\n"
-                 "A --config file (see sim/experiment_file.hh) sets the\n"
-                 "defaults; explicit flags given AFTER it override.\n");
+                 "--help)\n");
     std::exit(2);
 }
 
-std::uint64_t
-parseU64(const char *s)
+/** The spec, or its actionable parse error as usage text. */
+CacheConfig
+specOrUsage(const std::string &spec)
 {
-    char *end = nullptr;
-    const std::uint64_t v = std::strtoull(s, &end, 0);
-    if (end == s || *end)
-        usage("bad number");
-    return v;
-}
-
-/** --jobs/--shards: 0 (the default) up to UINT_MAX, never wrapped. */
-unsigned
-parseCountFlag(const char *flag, const char *s)
-{
-    if (const auto n = parseCount(s))
-        return *n;
-    const std::string msg =
-        std::string("bad ") + flag + " value '" + s +
-        "': expected 0 (default) to " +
-        std::to_string(std::numeric_limits<unsigned>::max());
-    usage(msg.c_str());
+    try {
+        return parseCacheSpec(spec);
+    } catch (const CacheSpecError &e) {
+        usage(e.what());
+    }
 }
 
 /** --trace-info: the header/probe readout, no records replayed. */
@@ -245,369 +228,191 @@ printBCacheCosts(const CacheConfig &cfg, std::FILE *out)
                  }());
 }
 
-// StatsExport, writeTextOutput and writeObserverExports moved to
-// sim/session.hh — the sink layer is shared with every harness now.
-
-/** --shards: parallel replay, per-shard table + merged totals. */
-int
-runSharded(const std::string &trace_path, const CacheConfig &cfg,
-           unsigned shards, unsigned jobs, std::size_t batch,
-           std::uint64_t max_accesses,
-           const std::optional<SamplePlan> &sample, bool json,
-           const StatsExport &ex, const BsimHooks &hooks)
+/** The --shards report: per-shard table, merged totals, engine summary. */
+void
+printSharded(const RunOutcome &o, std::FILE *out)
 {
-    SweepOptions opts;
-    opts.jobs = jobs;
-    TraceReplayOptions replay;
-    replay.batchLen = batch;
-    // Sampled jobs run per-unit caches and cannot be observed; the
-    // flag combinations that would need an observer are rejected in
-    // bsimMain before we get here. maxAccesses caps the sampled
-    // *population*; full sharded replay keeps its per-window semantics.
-    if (sample)
-        replay.maxAccesses = max_accesses;
-    else
-        replay.observe = ex.observerConfig();
-    const TraceSweepResult res =
-        sample ? runTraceSampledSharded(trace_path, cfg, *sample,
-                                        shards, opts, replay)
-               : runTraceSharded(trace_path, cfg, shards, opts, replay);
-
-    if (json) {
-        // A JSON array of per-shard MissRateResult records; merged
-        // totals are the field-wise sums (trace-sampling semantics).
-        // json + a '-' export is rejected up front, so stdout is ours.
-        std::printf("[");
-        for (std::size_t i = 0; i < res.shards.size(); ++i)
-            std::printf("%s%s", i ? ",\n " : "",
-                        toJson(res.shards[i]).c_str());
-        std::printf("]\n");
-    } else {
-        // A "-" export owns stdout; the report moves to stderr so the
-        // piped JSON stays clean while a human still watches the run.
-        std::FILE *out = ex.claimsStdout() ? stderr : stdout;
-        Table t({"shard", "window", "accesses", "misses", "miss%"});
-        for (std::size_t i = 0; i < res.shards.size(); ++i) {
-            const MissRateResult &s = res.shards[i];
-            const std::size_t win = s.workload.find('[');
-            std::string window = win == std::string::npos
-                                     ? std::string("[whole file)")
-                                     : s.workload.substr(win);
-            // Sampled jobs own unit ranges, not record windows.
-            if (s.sampled && !s.sampled->units.empty())
-                window = "units[" +
-                         std::to_string(s.sampled->units.front().unit) +
-                         "+" + std::to_string(s.sampled->units.size()) +
-                         ")";
-            t.row()
-                .cell(std::uint64_t(i))
-                .cell(window)
-                .cell(s.stats.accesses)
-                .cell(s.stats.misses)
-                .cell(100.0 * s.missRate(), 4);
-        }
-        t.print((sample ? "sharded sampled replay of "
-                        : "sharded replay of ") +
-                    trace_path + " on " + cfg.label,
-                out);
-        std::fprintf(out, "merged   : %s\n",
-                     res.total.toString().c_str());
-        if (res.sampled)
-            printSampled(*res.sampled, out);
-        if (res.victimHits)
-            std::fprintf(out, "victim   : %llu buffer hits\n",
-                         static_cast<unsigned long long>(
-                             res.victimHits));
-        if (res.pd)
-            std::fprintf(out,
-                         "PD       : %llu hit-on-miss, %llu predicted "
-                         "misses\n",
-                         static_cast<unsigned long long>(
-                             res.pd->pdHitCacheMiss),
-                         static_cast<unsigned long long>(res.pd->pdMiss));
-        printSweepSummary(res.summary, out);
+    const TraceSweepResult &res = *o.sharded;
+    Table t({"shard", "window", "accesses", "misses", "miss%"});
+    for (std::size_t i = 0; i < res.shards.size(); ++i) {
+        const MissRateResult &s = res.shards[i];
+        const std::size_t win = s.workload.find('[');
+        std::string window = win == std::string::npos
+                                 ? std::string("[whole file)")
+                                 : s.workload.substr(win);
+        // Sampled jobs own unit ranges, not record windows.
+        if (s.sampled && !s.sampled->units.empty())
+            window = "units[" +
+                     std::to_string(s.sampled->units.front().unit) + "+" +
+                     std::to_string(s.sampled->units.size()) + ")";
+        t.row()
+            .cell(std::uint64_t(i))
+            .cell(window)
+            .cell(s.stats.accesses)
+            .cell(s.stats.misses)
+            .cell(100.0 * s.missRate(), 4);
     }
-    if (!ex.statsJsonPath.empty())
-        writeTextOutput(ex.statsJsonPath,
-                        toStatsJson(res, "trace:" + trace_path,
-                                    cfg.label) +
-                            "\n");
-    if (res.observer)
-        writeObserverExports(ex, *res.observer);
-    if (hooks.onSweepDone)
-        hooks.onSweepDone(cfg.label, res.summary);
+    t.print((res.sampled ? "sharded sampled replay of "
+                         : "sharded replay of ") +
+                o.tracePath + " on " + o.config.label,
+            out);
+    std::fprintf(out, "merged   : %s\n", res.total.toString().c_str());
+    if (res.sampled)
+        printSampled(*res.sampled, out);
+    if (res.victimHits)
+        std::fprintf(out, "victim   : %llu buffer hits\n",
+                     static_cast<unsigned long long>(res.victimHits));
+    if (res.pd)
+        std::fprintf(out,
+                     "PD       : %llu hit-on-miss, %llu predicted "
+                     "misses\n",
+                     static_cast<unsigned long long>(
+                         res.pd->pdHitCacheMiss),
+                     static_cast<unsigned long long>(res.pd->pdMiss));
+    printSweepSummary(res.summary, out);
+}
+
+/** --timed: the OOO-core model over a workload, report or JSON. */
+int
+runTimedModel(const BsimArgs &a)
+{
+    const RunRequest &run = a.run;
+    if (!run.trace.empty())
+        usage("--timed drives workloads, not traces");
+    if (a.exports.wantsObserver())
+        usage("--stats-json/--heatmap/--interval observe the "
+              "standalone miss-rate drivers, not --timed");
+    if (!isSpec2kName(run.workload))
+        usage("unknown --workload");
+    const CacheConfig cfg = specOrUsage(run.cache);
+    const TimedResult tr =
+        runTimed(run.workload, cfg,
+                 run.accessesSet ? run.accesses : 1'000'000, run.seed);
+    if (a.json) {
+        std::printf("%s\n", toJson(tr).c_str());
+        return 0;
+    }
+    std::printf("config   : %s\n", cfg.label.c_str());
+    std::printf("workload : %s (%llu uops)\n", run.workload.c_str(),
+                static_cast<unsigned long long>(tr.cpu.uops));
+    std::printf("IPC      : %.3f  (%llu cycles)\n", tr.ipc(),
+                static_cast<unsigned long long>(tr.cpu.cycles));
+    std::printf("L1I      : %s\n", tr.l1i.toString().c_str());
+    std::printf("L1D      : %s\n", tr.l1d.toString().c_str());
+    std::printf("L2       : %s\n", tr.l2.toString().c_str());
+    std::printf("stalls   : I$ %llu cyc, load-miss %llu cyc, "
+                "mispredict %llu cyc (overlapping)\n",
+                static_cast<unsigned long long>(tr.cpu.icacheStallCycles),
+                static_cast<unsigned long long>(tr.cpu.loadMissCycles),
+                static_cast<unsigned long long>(tr.cpu.mispredictCycles));
     return 0;
 }
 
 } // namespace
 
+BsimArgs
+parseBsimArgs(int argc, char **argv)
+{
+    BsimArgs a;
+    a.run.cache = kDefaultCacheSpec;
+    try {
+        for (int i = 1; i < argc; ++i) {
+            if (readRunFlag(argc, argv, i, a.run))
+                continue;
+            const std::string arg = argv[i];
+            const auto value = [&]() -> std::string {
+                if (i + 1 >= argc)
+                    throw UsageError(arg + " needs a value");
+                return argv[++i];
+            };
+            if (arg == "--config")
+                readRunRequestFile(value(), a.run);
+            else if (arg == "--list-caches")
+                a.listCaches = true;
+            else if (arg == "--trace-info")
+                a.traceInfo = value();
+            else if (arg == "--stats-json")
+                a.exports.statsJsonPath = value();
+            else if (arg == "--heatmap")
+                a.exports.heatmapPath = value();
+            else if (arg == "--interval")
+                a.exports.interval = u64Flag(arg, value());
+            else if (arg == "--json")
+                a.json = true;
+            else if (arg == "--timed")
+                a.timed = true;
+            else if (arg == "--help" || arg == "-h")
+                usage();
+            else
+                throw UsageError("unknown flag '" + arg + "'");
+        }
+    } catch (const UsageError &e) {
+        usage(e.what());
+    }
+    return a;
+}
+
 int
 bsimMain(int argc, char **argv, const BsimHooks &hooks)
 {
-    // The serving layer gets argv before anything else: --serve turns
-    // this process into bsimd, --connect into its client. Both are
-    // optional hooks so serve-less builds keep linking without
-    // src/serve.
-    if (argc > 1 && !std::strcmp(argv[1], "--serve")) {
-        if (!hooks.serveMain)
-            usage("--serve needs a serve-enabled build (bench/bsim)");
-        std::vector<char *> args;
-        args.push_back(argv[0]);
-        for (int i = 2; i < argc; ++i)
-            args.push_back(argv[i]);
-        return hooks.serveMain(static_cast<int>(args.size()),
-                               args.data());
+    const BsimArgs a = parseBsimArgs(argc, argv);
+    if (a.listCaches) {
+        std::fputs(listCacheSpecs().c_str(), stdout);
+        return 0;
     }
-    if (argc > 1 && !std::strcmp(argv[1], "--connect")) {
-        if (!hooks.connectMain)
-            usage("--connect needs a serve-enabled build (bench/bsim)");
-        return hooks.connectMain(argc, argv);
-    }
+    if (!a.traceInfo.empty())
+        return printTraceInfo(a.traceInfo);
 
-    std::string kind = "bcache";
-    std::uint64_t size = 16 * 1024;
-    std::uint32_t line = 32;
-    std::uint32_t ways = 8;
-    std::uint32_t mf = 8, bas = 8;
-    std::string repl = "lru";
-    std::string wp = "wb";
-    std::string workload = "gcc";
-    std::string side = "data";
-    std::string trace_path;
-    std::uint64_t accesses = 1'000'000;
-    bool accesses_set = false;
-    std::uint64_t seed = kDefaultSeed;
-    unsigned shards = 0;
-    unsigned jobs = 0;
-    std::size_t batch = 0;
-    std::optional<SamplePlan> sample;
-    bool json = false;
-    bool timed = false;
-    StatsExport ex;
-    bool haveFileConfig = false;
-    CacheConfig cfgFromFile;
-    std::string cacheSpec;
-
-    for (int i = 1; i < argc; ++i) {
-        auto need = [&](const char *flag) -> const char * {
-            if (i + 1 >= argc)
-                usage(flag);
-            return argv[++i];
-        };
-        if (!std::strcmp(argv[i], "--config")) {
-            const ExperimentSpec spec =
-                parseExperimentFile(need("--config"));
-            cfgFromFile = spec.cache;
-            haveFileConfig = true;
-            workload = spec.workload;
-            side = spec.side == StreamSide::Inst ? "inst" : "data";
-            trace_path = spec.tracePath;
-            accesses = spec.accesses;
-            accesses_set = true;
-            seed = spec.seed;
-        } else if (!std::strcmp(argv[i], "--cache")) {
-            cacheSpec = need("--cache");
-        } else if (!std::strcmp(argv[i], "--list-caches")) {
-            std::fputs(listCacheSpecs().c_str(), stdout);
-            return 0;
-        } else if (!std::strcmp(argv[i], "--kind")) {
-            kind = need("--kind");
-            haveFileConfig = false; // explicit kind rebuilds the config
-            cacheSpec.clear();      // ... and so does an explicit spec
-        }
-        else if (!std::strcmp(argv[i], "--size"))
-            size = parseU64(need("--size"));
-        else if (!std::strcmp(argv[i], "--line"))
-            line = static_cast<std::uint32_t>(parseU64(need("--line")));
-        else if (!std::strcmp(argv[i], "--ways"))
-            ways = static_cast<std::uint32_t>(parseU64(need("--ways")));
-        else if (!std::strcmp(argv[i], "--mf"))
-            mf = static_cast<std::uint32_t>(parseU64(need("--mf")));
-        else if (!std::strcmp(argv[i], "--bas"))
-            bas = static_cast<std::uint32_t>(parseU64(need("--bas")));
-        else if (!std::strcmp(argv[i], "--repl"))
-            repl = need("--repl");
-        else if (!std::strcmp(argv[i], "--write-policy"))
-            wp = need("--write-policy");
-        else if (!std::strcmp(argv[i], "--workload"))
-            workload = need("--workload");
-        else if (!std::strcmp(argv[i], "--side"))
-            side = need("--side");
-        else if (!std::strcmp(argv[i], "--trace"))
-            trace_path = need("--trace");
-        else if (!std::strcmp(argv[i], "--trace-info"))
-            return printTraceInfo(need("--trace-info"));
-        else if (!std::strcmp(argv[i], "--shards"))
-            shards = parseCountFlag("--shards", need("--shards"));
-        else if (!std::strcmp(argv[i], "--jobs"))
-            jobs = parseCountFlag("--jobs", need("--jobs"));
-        else if (!std::strcmp(argv[i], "--batch"))
-            batch =
-                static_cast<std::size_t>(parseU64(need("--batch")));
-        else if (!std::strcmp(argv[i], "--accesses")) {
-            accesses = parseU64(need("--accesses"));
-            accesses_set = true;
-        }
-        else if (!std::strcmp(argv[i], "--sample"))
-            sample = parseSamplePlan(need("--sample"));
-        else if (!std::strcmp(argv[i], "--seed"))
-            seed = parseU64(need("--seed"));
-        else if (!std::strcmp(argv[i], "--stats-json"))
-            ex.statsJsonPath = need("--stats-json");
-        else if (!std::strcmp(argv[i], "--heatmap"))
-            ex.heatmapPath = need("--heatmap");
-        else if (!std::strcmp(argv[i], "--interval"))
-            ex.interval = parseU64(need("--interval"));
-        else if (!std::strcmp(argv[i], "--json"))
-            json = true;
-        else if (!std::strcmp(argv[i], "--timed"))
-            timed = true;
-        else if (!std::strcmp(argv[i], "--help") ||
-                 !std::strcmp(argv[i], "-h"))
-            usage();
-        else
-            usage(argv[i]);
-    }
-
-    CacheConfig cfg;
-    if (!cacheSpec.empty()) {
-        // The declarative path: any registered spec, one parser. The
-        // spec governs every cache parameter (so --repl/--write-policy
-        // style overrides below are skipped); a malformed spec surfaces
-        // its actionable message as usage text.
-        try {
-            cfg = parseCacheSpec(cacheSpec);
-        } catch (const CacheSpecError &e) {
-            usage(e.what());
-        }
-    } else if (haveFileConfig)
-        cfg = cfgFromFile;
-    else if (kind == "dm")
-        cfg = CacheConfig::directMapped(size, line);
-    else if (kind == "setassoc")
-        cfg = CacheConfig::setAssoc(size, ways,
-                                    replPolicyFromName(repl), line);
-    else if (kind == "victim")
-        cfg = CacheConfig::victim(size, 16, line);
-    else if (kind == "bcache")
-        cfg = CacheConfig::bcache(size, mf, bas,
-                                  replPolicyFromName(repl), line);
-    else if (kind == "column")
-        cfg = CacheConfig::columnAssoc(size, line);
-    else if (kind == "skewed")
-        cfg = CacheConfig::skewed(size, line);
-    else if (kind == "hac")
-        cfg = CacheConfig::hac(size, 1024, line);
-    else if (kind == "xor")
-        cfg = CacheConfig::xorDm(size, line);
-    else
-        usage("unknown --kind");
-    if (!haveFileConfig && cacheSpec.empty())
-        cfg.repl = replPolicyFromName(repl);
-    if (wp == "wt" && cacheSpec.empty())
-        cfg.writePolicy = WritePolicy::WriteThroughNoAllocate;
-    else if (wp != "wb" && wp != "wt")
-        usage("--write-policy must be wb or wt");
-
-    if (json && ex.claimsStdout())
+    const StatsExport &ex = a.exports;
+    if (a.json && ex.claimsStdout())
         usage("--json and a '-' export both claim stdout");
-
-    if (sample) {
-        if (timed)
+    if (!a.run.sample.empty()) {
+        if (a.timed)
             usage("--sample estimates miss ratios, not --timed runs");
         if (!ex.heatmapPath.empty() || ex.interval > 0)
             usage("--sample runs a fresh cache per unit, so there is "
                   "no aggregate state for --heatmap/--interval "
                   "(--stats-json still works: it carries the estimate)");
     }
+    if (a.timed)
+        return runTimedModel(a);
 
-    if (timed) {
-        if (!trace_path.empty())
-            usage("--timed drives workloads, not traces");
-        if (ex.wantsObserver())
-            usage("--stats-json/--heatmap/--interval observe the "
-                  "standalone miss-rate drivers, not --timed");
-        if (!isSpec2kName(workload))
-            usage("unknown --workload");
-        const TimedResult tr = runTimed(workload, cfg, accesses, seed);
-        if (json) {
-            std::printf("%s\n", toJson(tr).c_str());
-            return 0;
+    const RunOutcome o = [&] {
+        try {
+            return dispatchRun(a.run, ex.observerConfig());
+        } catch (const CacheSpecError &e) {
+            usage(e.what());
+        } catch (const UsageError &e) {
+            usage(e.what());
         }
-        std::printf("config   : %s\n", cfg.label.c_str());
-        std::printf("workload : %s (%llu uops)\n", workload.c_str(),
-                    static_cast<unsigned long long>(tr.cpu.uops));
-        std::printf("IPC      : %.3f  (%llu cycles)\n", tr.ipc(),
-                    static_cast<unsigned long long>(tr.cpu.cycles));
-        std::printf("L1I      : %s\n", tr.l1i.toString().c_str());
-        std::printf("L1D      : %s\n", tr.l1d.toString().c_str());
-        std::printf("L2       : %s\n", tr.l2.toString().c_str());
-        std::printf("stalls   : I$ %llu cyc, load-miss %llu cyc, "
-                    "mispredict %llu cyc (overlapping)\n",
-                    static_cast<unsigned long long>(
-                        tr.cpu.icacheStallCycles),
-                    static_cast<unsigned long long>(
-                        tr.cpu.loadMissCycles),
-                    static_cast<unsigned long long>(
-                        tr.cpu.mispredictCycles));
-        return 0;
-    }
-
-    if (shards > 0) {
-        if (trace_path.empty())
-            usage("--shards needs --trace");
-        return runSharded(trace_path, cfg, shards, jobs, batch,
-                          accesses_set ? accesses : 0, sample, json,
-                          ex, hooks);
-    }
-
-    MissRateResult r;
-    if (!trace_path.empty()) {
-        // Streamed replay: O(chunk) resident memory regardless of the
-        // file's record count (no whole-trace vector).
-        TraceReplayOptions opts;
-        opts.maxAccesses = accesses_set ? accesses : 0;
-        opts.batchLen = batch;
-        if (sample) {
-            r = runTraceSampled(trace_path, cfg, *sample, opts);
-        } else {
-            opts.observe = ex.observerConfig();
-            r = runTraceReplay(trace_path, cfg, TraceShard{}, opts);
-        }
-    } else {
-        if (!isSpec2kName(workload))
-            usage("unknown --workload");
-        const StreamSide s = side == "inst" ? StreamSide::Inst
-                                            : StreamSide::Data;
-        if (sample)
-            r = runMissRateSampled(workload, s, cfg, accesses, *sample,
-                                   seed);
-        else
-            r = runMissRate(workload, s, cfg, accesses, seed,
-                            ex.observerConfig());
-    }
+    }();
 
     if (!ex.statsJsonPath.empty())
-        writeTextOutput(ex.statsJsonPath,
-                        toStatsJson(r, trace_path.empty() ? "workload"
-                                                          : "trace") +
-                            "\n");
-    if (r.observer)
-        writeObserverExports(ex, *r.observer);
+        writeTextOutput(ex.statsJsonPath, statsBody(o) + "\n");
+    const std::optional<ObserverReport> &observer =
+        o.sharded ? o.sharded->observer : o.result.observer;
+    if (observer)
+        writeObserverExports(ex, *observer);
 
-    if (json) {
+    if (a.json) {
         // json + a '-' export is rejected up front; stdout is ours.
-        std::printf("%s\n", toJson(r).c_str());
-        return 0;
+        std::printf("%s\n", compactBody(o).c_str());
+    } else {
+        // A "-" export owns stdout; the human report moves to stderr.
+        std::FILE *out = ex.claimsStdout() ? stderr : stdout;
+        if (o.sharded) {
+            printSharded(o, out);
+        } else {
+            printMissRate(o.result, o.config,
+                          o.tracePath.empty()
+                              ? a.run.workload + " (" + a.run.side + ")"
+                              : o.tracePath,
+                          out);
+            printBCacheCosts(o.config, out);
+        }
     }
-
-    // A "-" export owns stdout; the human report moves to stderr.
-    std::FILE *out = ex.claimsStdout() ? stderr : stdout;
-    printMissRate(r, cfg,
-                  trace_path.empty() ? workload + " (" + side + ")"
-                                     : trace_path,
-                  out);
-    printBCacheCosts(cfg, out);
+    if (o.sharded && hooks.onSweepDone)
+        hooks.onSweepDone(o.config.label, o.sharded->summary);
     return 0;
 }
 

@@ -1,23 +1,23 @@
 /**
  * @file
- * The bsim driver: one command-line front end that runs any cache
- * organisation over any input — a named synthetic workload, a trace
- * file (streamed in O(chunk) memory via workload/trace_reader), a
- * sharded parallel trace replay on the sweep engine, or the timed
- * OOO-core model — and prints the standard statistics readout or JSON.
+ * The bsim driver: one command-line front end that runs any cache spec
+ * over any input — a named synthetic workload, a trace file (streamed
+ * in O(chunk) memory via workload/trace_reader), a sharded parallel
+ * trace replay on the sweep engine, or the timed OOO-core model — and
+ * prints the standard statistics readout or JSON. The run itself is a
+ * RunRequest (sim/run_request.hh) run by dispatchRun(), exactly as the
+ * server runs one.
  *
- * The driver is a library function so several binaries can share it:
- * bench/bsim.cc wires the perf-telemetry hook (BENCH_perf.json) on top,
- * while examples/bsim_cli.cpp is the bare driver under its historical
- * name. docs/TRACES.md walks through the trace-facing flags.
+ * bench/bsim.cc is the binary: it hands `--serve`/`--connect` to
+ * src/serve and everything else to bsimMain(). docs/TRACES.md walks
+ * through the trace-facing flags.
  *
  * Usage (see usage() in the .cc for the authoritative text):
- *   bsim [--kind dm|setassoc|victim|bcache|column|skewed|hac|xor]
- *        [--size B] [--line B] [--ways N] [--mf N] [--bas N]
- *        [--repl lru|random|fifo|plru|nmru] [--write-policy wb|wt]
+ *   bsim [--cache SPEC] [--list-caches] [--config FILE]
  *        [--workload NAME] [--side data|inst] [--seed N]
  *        [--trace FILE] [--shards N] [--jobs N] [--batch N]
- *        [--accesses N] [--timed] [--json] [--config FILE]
+ *        [--accesses N] [--sample U:P:W] [--timed] [--json]
+ *        [--stats-json F] [--heatmap F] [--interval N]
  *        [--trace-info FILE]
  */
 
@@ -27,6 +27,7 @@
 #include <functional>
 #include <string>
 
+#include "sim/run_request.hh"
 #include "sim/sweep.hh"
 
 namespace bsim {
@@ -38,25 +39,29 @@ struct BsimHooks
      * Invoked after a sweep-backed run (--shards) with the config label
      * and the engine's aggregate metrics. bench/bsim.cc points this at
      * bench::reportSweepPerf so sharded replays land in the repo's
-     * BENCH_perf.json trajectory; the bare examples/bsim_cli build
-     * leaves it unset.
+     * BENCH_perf.json trajectory.
      */
     std::function<void(const std::string &configLabel,
                        const SweepSummary &summary)>
         onSweepDone;
-
-    /**
-     * `bsim --serve ...` / `bsim --connect ...` delegate here (the
-     * serving layer, src/serve) before any other flag parsing.
-     * bench/bsim.cc wires serve::serveMain / serve::connectMain;
-     * binaries that leave them unset get a usage error pointing at a
-     * serve-enabled build. serveMain receives argv with the --serve
-     * flag removed; connectMain receives argv untouched (it parses
-     * --connect itself).
-     */
-    std::function<int(int argc, char **argv)> serveMain;
-    std::function<int(int argc, char **argv)> connectMain;
 };
+
+/** A parsed `bsim` command line. */
+struct BsimArgs
+{
+    RunRequest run; ///< cache defaults to kDefaultCacheSpec
+    StatsExport exports;
+    bool json = false;
+    bool timed = false;
+    bool listCaches = false;
+    std::string traceInfo; ///< --trace-info FILE
+};
+
+/**
+ * Parse @p argv (flags after a `--config FILE` override it). Usage
+ * errors print the usage text and exit(2); `--help` exits the same way.
+ */
+BsimArgs parseBsimArgs(int argc, char **argv);
 
 /**
  * The driver entry point: parse @p argv, run, print. Returns the

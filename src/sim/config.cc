@@ -122,8 +122,8 @@ checkedCount(std::uint64_t n)
     return static_cast<unsigned>(n);
 }
 
-std::optional<unsigned>
-parseCount(const std::string &text)
+std::optional<std::uint64_t>
+parseU64(const std::string &text)
 {
     if (text.find('-') != std::string::npos)
         return std::nullopt;
@@ -132,7 +132,42 @@ parseCount(const std::string &text)
     const unsigned long long n = std::strtoull(text.c_str(), &end, 0);
     if (end == text.c_str() || *end || errno == ERANGE)
         return std::nullopt;
-    return checkedCount(n);
+    return n;
+}
+
+std::optional<unsigned>
+parseCount(const std::string &text)
+{
+    const std::optional<std::uint64_t> n = parseU64(text);
+    return n ? checkedCount(*n) : std::nullopt;
+}
+
+namespace {
+
+[[noreturn]] void
+badFlag(const std::string &flag, const std::string &value,
+        std::uint64_t max)
+{
+    throw UsageError("bad " + flag + " value '" + value +
+                     "': expected 0 to " + std::to_string(max));
+}
+
+} // namespace
+
+std::uint64_t
+u64Flag(const std::string &flag, const std::string &value)
+{
+    if (const std::optional<std::uint64_t> n = parseU64(value))
+        return *n;
+    badFlag(flag, value, std::numeric_limits<std::uint64_t>::max());
+}
+
+unsigned
+countFlag(const std::string &flag, const std::string &value)
+{
+    if (const std::optional<unsigned> n = parseCount(value))
+        return *n;
+    badFlag(flag, value, std::numeric_limits<unsigned>::max());
 }
 
 unsigned

@@ -23,6 +23,7 @@
 #include "bcache/bcache_params.hh"
 #include "cache/cache_spec.hh"
 #include "cache/hierarchy.hh"
+#include "common/logging.hh"
 
 namespace bsim {
 
@@ -59,11 +60,37 @@ unsigned defaultJobs();
 std::optional<unsigned> checkedCount(std::uint64_t n);
 
 /**
- * checkedCount() of a number spelled as strtoull(base 0) reads it
- * (decimal, 0x hex, leading-0 octal). nullopt for non-numbers, a `-`
- * sign (strtoull negates into a huge value) and values above UINT_MAX.
+ * The one number parser of the bsim front ends: @p text as strtoull
+ * (base 0) reads it — decimal, 0x hex, leading-0 octal — when all of it
+ * is the number. nullopt for non-numbers, trailing junk, a `-` sign
+ * (strtoull negates into a huge value) and values past 2^64-1. Flag
+ * values and JSON number lexemes both go through it, so a wire
+ * `"seed":12345678901234567` is read exactly, never through a double.
  */
+std::optional<std::uint64_t> parseU64(const std::string &text);
+
+/** checkedCount() of parseU64(@p text). */
 std::optional<unsigned> parseCount(const std::string &text);
+
+/**
+ * A bad flag value, request field or flag combination. Command lines
+ * print it above their usage text and exit 2; the server answers it as
+ * a typed `bad-request` (it is a FatalError, which the server already
+ * maps there).
+ */
+class UsageError : public FatalError
+{
+  public:
+    using FatalError::FatalError;
+};
+
+/**
+ * parseU64() / parseCount() of a flag's value. Throws UsageError
+ * "bad FLAG value 'V': expected 0 to MAX" — the one error text of every
+ * numeric flag of bsim, bsim --connect and bsim --serve.
+ */
+std::uint64_t u64Flag(const std::string &flag, const std::string &value);
+unsigned countFlag(const std::string &flag, const std::string &value);
 
 /**
  * Consume a `--jobs N` (or `--jobs=N`) flag from argv, compacting the

@@ -60,7 +60,7 @@ defaultUops(std::uint64_t fallback)
 std::unique_ptr<StatsObserver>
 attachObserver(BaseCache &cache, const ObserverConfig &observe)
 {
-    if (!observe.enabled || !kObserversEnabled)
+    if (!observe.enabled)
         return nullptr;
     auto obs = std::make_unique<StatsObserver>(
         cache.setUsage().usage().size(), observe);

@@ -138,8 +138,8 @@ std::uint64_t defaultUops(std::uint64_t fallback = 1'000'000);
 
 /**
  * Attach a StatsObserver to @p cache for the duration of a run. Returns
- * null (and attaches nothing) when @p observe is disabled or the hooks
- * were compiled out. Shared by runMissRateOn() and runTraceReplay().
+ * null (and attaches nothing) when @p observe is disabled. Shared by
+ * runMissRateOn() and runTraceReplay().
  */
 std::unique_ptr<StatsObserver> attachObserver(
     BaseCache &cache, const ObserverConfig &observe);

@@ -2,15 +2,14 @@
  * @file
  * The cache-spec grammar (cache/cache_spec.hh): golden round-trips for
  * every registered variant, typed errors with actionable messages for
- * malformed specs, JSON-object parsing, hierarchy composition, and a
- * bounded fuzz case that throws random printable strings at the parser
- * (asan/ubsan builds make that a UB hunt, not just a crash hunt).
+ * malformed specs, hierarchy composition, and a bounded fuzz case that
+ * throws random printable strings at the parser (asan/ubsan builds
+ * make that a UB hunt, not just a crash hunt).
  */
 
 #include <gtest/gtest.h>
 
 #include "cache/cache_spec.hh"
-#include "common/json.hh"
 #include "common/random.hh"
 #include "sim/config.hh"
 
@@ -154,30 +153,6 @@ TEST(CacheSpec, MalformedSpecsThrowActionableErrors)
     expectError("sa:16kB,wp=sideways", "write policy");
     expectError("dm:16kB+victim:", "entries");
     expectError("dm:16kB+elephant:4", "+victim");
-}
-
-TEST(CacheSpec, JsonObjectFormMatchesStringForm)
-{
-    const auto fromJson = [](const std::string &text) {
-        const auto v = parseJson(text);
-        EXPECT_TRUE(v.has_value()) << text;
-        return cacheSpecFromJson(*v);
-    };
-    EXPECT_EQ(fromJson(R"({"kind":"bcache","size":"16kB",)"
-                       R"("mf":8,"bas":8})"),
-              parseCacheSpec("bcache:16kB,mf=8,bas=8"));
-    EXPECT_EQ(fromJson(R"({"kind":"dm","size":16384})"),
-              parseCacheSpec("dm:16kB"));
-    EXPECT_EQ(fromJson(R"({"kind":"sa","size":"32kB","ways":4,)"
-                       R"("repl":"random"})"),
-              parseCacheSpec("sa:32kB,4w,repl=random"));
-    EXPECT_EQ(fromJson(R"({"kind":"victim","size":"16kB",)"
-                       R"("entries":8})"),
-              parseCacheSpec("victim:16kB,8e"));
-    EXPECT_THROW(fromJson(R"({"size":"16kB"})"), CacheSpecError);
-    EXPECT_THROW(fromJson(R"({"kind":"dm"})"), CacheSpecError);
-    EXPECT_THROW(fromJson(R"({"kind":"dm","size":"16kB","zap":1})"),
-                 CacheSpecError);
 }
 
 TEST(CacheSpec, HierarchySpecRoundTrips)

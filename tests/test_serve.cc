@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "common/frame.hh"
-#include "common/json.hh"
 #include "common/logging.hh"
 #include "serve/client.hh"
 #include "serve/request.hh"
@@ -608,21 +607,9 @@ TEST(ServerConcurrency, FourClientsBitIdenticalToSerial)
             [&server, fd = sp[0]] { server.serveConnection(fd); });
         clientSide.emplace_back([&, fd = sp[1], c] {
             RpcClient client(fd);
-            JsonWriter j;
-            const RpcRequest &req = kinds[c];
-            j.beginObject()
-                .kv("op", "run")
-                .kv("cache", req.cache)
-                .kv("trace", req.trace);
-            if (!req.sample.empty())
-                j.kv("sample", req.sample);
-            if (req.shards)
-                j.kv("shards", req.shards);
-            if (req.jobs)
-                j.kv("jobs", req.jobs);
-            j.endObject();
+            const std::string payload = encodeRpcRequest(kinds[c]);
             for (int round = 0; round < kRounds; ++round) {
-                const RpcResult r = decodeResult(client.call(j.str()));
+                const RpcResult r = decodeResult(client.call(payload));
                 if (!r.ok) {
                     failures[c] = r.errorCode + ": " + r.errorMessage;
                     return;
@@ -756,9 +743,10 @@ TEST(ServerLifecycle, CountsPastUintMaxAreTypedBadRequests)
     srv.join();
 }
 
-/** Runs connectMain over @p args with stdout captured into @p out. */
+/** Runs @p cli_main over @p args with stdout captured into @p out. */
 int
-runConnect(std::vector<std::string> args, std::string *out = nullptr)
+runCli(int (*cli_main)(int, char **), std::vector<std::string> args,
+       std::string *out = nullptr)
 {
     args.insert(args.begin(), "bsim");
     std::vector<char *> argv;
@@ -766,11 +754,17 @@ runConnect(std::vector<std::string> args, std::string *out = nullptr)
         argv.push_back(a.data());
     argv.push_back(nullptr);
     ::testing::internal::CaptureStdout();
-    const int rc = connectMain(static_cast<int>(args.size()), argv.data());
+    const int rc = cli_main(static_cast<int>(args.size()), argv.data());
     const std::string captured = ::testing::internal::GetCapturedStdout();
     if (out)
         *out = captured;
     return rc;
+}
+
+int
+runConnect(std::vector<std::string> args, std::string *out = nullptr)
+{
+    return runCli(connectMain, std::move(args), out);
 }
 
 TEST(ConnectFlags, JobsAndShardsAcceptUintMaxAndRejectPastIt)
@@ -810,6 +804,95 @@ TEST(ConnectFlags, JobsAndShardsAcceptUintMaxAndRejectPastIt)
     EXPECT_EQ(runStatsBody(same, reg) + "\n", out);
     server.beginDrain();
     srv.join();
+}
+
+/** A seed past 2^53 reaches the server exactly, not through a double. */
+TEST(ConnectFlags, SeedPast2To53IsByteIdenticalToRunStatsBody)
+{
+    setFatalThrows(true);
+    TempDir tmp;
+    const std::string sock = tmp.path("bsimd.sock");
+    ServerOptions so;
+    so.unixPath = sock;
+    so.workers = 1;
+    Server server(so);
+    std::thread srv([&server] { server.run(); });
+    while (!std::filesystem::exists(sock))
+        std::this_thread::sleep_for(1ms);
+
+    std::string out;
+    EXPECT_EQ(0, runConnect({"--connect", sock, "--cache", "dm:4kB",
+                             "--accesses", "5000", "--seed",
+                             "12345678901234567"},
+                            &out));
+    RpcRequest req;
+    req.cache = "dm:4kB";
+    req.accesses = 5000;
+    req.accessesSet = true;
+    req.seed = 12345678901234567u;
+    TraceRegistry reg;
+    const std::string exact = runStatsBody(req, reg);
+    EXPECT_EQ(exact + "\n", out);
+    // The double nearest that seed is the next integer, another run.
+    req.seed = 12345678901234568u;
+    EXPECT_NE(exact, runStatsBody(req, reg));
+
+    {
+        RpcClient client = RpcClient::connectUnix(sock);
+        for (const char *n : {"1.5", "-1", "18446744073709551616"}) {
+            const RpcResult r = decodeResult(client.call(
+                std::string(R"({"op":"run","cache":"dm:4kB","seed":)") + n +
+                "}"));
+            EXPECT_FALSE(r.ok) << n;
+            EXPECT_EQ("bad-request", r.errorCode) << n;
+        }
+    }
+    server.beginDrain();
+    srv.join();
+}
+
+TEST(ConnectFlags, PortsOutsideOneTo65535AreRefusedBeforeConnecting)
+{
+    for (const char *target :
+         {":0", ":65536", ":99999", "127.0.0.1:70000",
+          ":18446744073709551616"})
+        EXPECT_EXIT(runConnect({"--connect", target, "--ping"}),
+                    ::testing::ExitedWithCode(2), "bad --connect port")
+            << target;
+
+    // In range: parsed into host and port; nothing is connected.
+    const auto parse = [](std::string target) {
+        std::string prog = "bsim", flag = "--connect", op = "--ping";
+        char *argv[] = {prog.data(), flag.data(), target.data(), op.data(),
+                        nullptr};
+        return parseConnectArgs(4, argv);
+    };
+    const ConnectArgs low = parse(":1");
+    EXPECT_EQ("127.0.0.1", low.host);
+    EXPECT_EQ(1, low.port);
+    const ConnectArgs high = parse("10.0.0.7:65535");
+    EXPECT_EQ("10.0.0.7", high.host);
+    EXPECT_EQ(65535, high.port);
+    EXPECT_EQ(0, parse("/tmp/bsimd.sock").port);
+}
+
+/**
+ * Bad numbers exit 2 and name the flag. No case gives --socket/--tcp,
+ * so no Server is ever built, whatever a broken parser would read.
+ */
+TEST(ServeFlags, BadNumbersExitTwoNamingTheFlag)
+{
+    const std::pair<const char *, const char *> cases[] = {
+        {"--workers", "-1"},       {"--workers", "abc"},
+        {"--workers", "4294967296"}, {"--queue", "-1"},
+        {"--queue", "8x"},         {"--max-frame", "1x"},
+        {"--max-frame", "-1"},     {"--idle-timeout-ms", "soon"},
+    };
+    for (const auto &[flag, value] : cases)
+        EXPECT_EXIT(runCli(serveMain, {flag, value}),
+                    ::testing::ExitedWithCode(2),
+                    std::string("bad ") + flag + " value '" + value + "'")
+            << flag << " " << value;
 }
 
 /** Malformed and oversized frames get typed errors, then a close. */

@@ -229,9 +229,22 @@ TEST(BsimCountFlags, JobsAndShardsAcceptUintMaxAndRejectPastIt)
             EXPECT_EXIT(runBsim({flag, n, "--list-caches"}),
                         ::testing::ExitedWithCode(2),
                         std::string("bad ") + flag + " value '" + n +
-                            "': expected 0 \\(default\\) to "
-                            "4294967295");
+                            "': expected 0 to 4294967295");
     std::filesystem::remove(trace);
+}
+
+/** The CLI refuses a side the wire refuses, in the wire's words. */
+TEST(BsimSideFlag, OnlyDataAndInstAreAccepted)
+{
+    for (const char *side : {"data", "inst"})
+        EXPECT_EQ(0, runBsim({"--side", side, "--accesses", "1000",
+                              "--json"}))
+            << side;
+    for (const char *side : {"instr", "DATA", "", "i"})
+        EXPECT_EXIT(runBsim({"--side", side, "--accesses", "1000"}),
+                    ::testing::ExitedWithCode(2),
+                    "field 'side' must be 'data' or 'inst'")
+            << "'" << side << "'";
 }
 
 } // namespace
