@@ -1,229 +1,301 @@
 #include "bench/bench_json.hh"
 
-#include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
+#include <vector>
 
 #include "common/json.hh"
-#include "common/strings.hh"
 
 namespace bsim {
 namespace bench {
 
 namespace {
 
-/** The six required keys and their expected kinds, in emit order. */
-struct Field
+/** Validation state: first failure wins, the rest short-circuit. */
+struct Lint
 {
-    const char *key;
-    JsonValue::Kind kind;
-};
+    std::string error;
 
-constexpr Field kSchema[] = {
-    {"bench", JsonValue::Kind::String},
-    {"config", JsonValue::Kind::String},
-    {"accesses_per_sec", JsonValue::Kind::Number},
-    {"wall_s", JsonValue::Kind::Number},
-    {"jobs", JsonValue::Kind::Number},
-    {"git_rev", JsonValue::Kind::String},
-};
-
-std::string
-serializeRecord(const PerfRecord &r, const std::string &rev)
-{
-    JsonWriter w;
-    w.beginObject()
-        .kv("bench", r.bench)
-        .kv("config", r.config)
-        .kv("accesses_per_sec", r.accessesPerSec)
-        .kv("wall_s", r.wallSeconds)
-        .kv("jobs", r.jobs)
-        .kv("git_rev", r.gitRev.empty() ? rev : r.gitRev)
-        .endObject();
-    return w.str();
-}
-
-/** One record per line so the log diffs cleanly across commits. */
-std::string
-serializeLog(const std::vector<std::string> &records)
-{
-    std::string out = "[\n";
-    for (std::size_t i = 0; i < records.size(); ++i) {
-        out += "  ";
-        out += records[i];
-        out += i + 1 < records.size() ? ",\n" : "\n";
+    bool
+    fail(const std::string &what)
+    {
+        if (error.empty())
+            error = what;
+        return false;
     }
-    out += "]\n";
-    return out;
+
+    bool ok() const { return error.empty(); }
+};
+
+const JsonValue *
+member(Lint &l, const JsonValue &obj, const std::string &key,
+       bool required, const char *where)
+{
+    const JsonValue *v = obj.find(key);
+    if (!v && required)
+        l.fail(std::string(where) + ": missing key '" + key + "'");
+    return v;
 }
 
 bool
-readFile(const std::string &path, std::string &out)
+expectNumber(Lint &l, const JsonValue *v, const char *where)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
+    if (!v)
         return false;
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    out = ss.str();
+    if (!v->isNumber())
+        return l.fail(std::string(where) + ": expected a number");
     return true;
+}
+
+bool
+expectString(Lint &l, const JsonValue *v, const char *where)
+{
+    if (!v)
+        return false;
+    if (!v->isString())
+        return l.fail(std::string(where) + ": expected a string");
+    return true;
+}
+
+/** An array of numbers, optionally of exactly @p want elements. */
+bool
+numberArray(Lint &l, const JsonValue *v, const char *where,
+            std::size_t want = ~std::size_t{0})
+{
+    if (!v)
+        return false;
+    if (!v->isArray())
+        return l.fail(std::string(where) + ": expected an array");
+    if (want != ~std::size_t{0} && v->array.size() != want)
+        return l.fail(std::string(where) + ": expected " +
+                      std::to_string(want) + " element(s), got " +
+                      std::to_string(v->array.size()));
+    for (const JsonValue &e : v->array)
+        if (!e.isNumber())
+            return l.fail(std::string(where) +
+                          ": non-number array element");
+    return true;
+}
+
+/** Exactly the keys in @p keys, all numbers. */
+bool
+numberObject(Lint &l, const JsonValue *v,
+             const std::vector<const char *> &keys, const char *where)
+{
+    if (!v)
+        return false;
+    if (!v->isObject())
+        return l.fail(std::string(where) + ": expected an object");
+    for (const char *k : keys)
+        expectNumber(l, member(l, *v, k, true, where), where);
+    if (v->object.size() != keys.size())
+        return l.fail(std::string(where) + ": unexpected extra key");
+    return l.ok();
+}
+
+void
+lintStats(Lint &l, const JsonValue *stats, const char *where)
+{
+    if (!numberObject(l, stats,
+                      {"accesses", "hits", "misses", "missRate",
+                       "readAccesses", "readMisses", "writeAccesses",
+                       "writeMisses", "fetchAccesses", "fetchMisses",
+                       "writebacks", "writethroughs", "refills"},
+                      where))
+        return;
+    const double acc = stats->find("accesses")->number;
+    const double hit = stats->find("hits")->number;
+    const double mis = stats->find("misses")->number;
+    if (hit + mis != acc)
+        l.fail(std::string(where) + ": hits + misses != accesses");
+}
+
+void
+lintObserver(Lint &l, const JsonValue &obs, const char *where)
+{
+    if (!obs.isObject()) {
+        l.fail(std::string(where) + ": expected an object");
+        return;
+    }
+    const JsonValue *per = member(l, obs, "perSet", true, where);
+    if (per && per->isObject()) {
+        const JsonValue *lines = member(l, *per, "lines", true, where);
+        if (expectNumber(l, lines, where)) {
+            const auto n = static_cast<std::size_t>(lines->number);
+            numberArray(l, member(l, *per, "accesses", true, where),
+                        "perSet.accesses", n);
+            numberArray(l, member(l, *per, "hits", true, where),
+                        "perSet.hits", n);
+            numberArray(l, member(l, *per, "misses", true, where),
+                        "perSet.misses", n);
+            numberArray(l, member(l, *per, "installs", true, where),
+                        "perSet.installs", n);
+        }
+    } else if (per) {
+        l.fail(std::string(where) + ".perSet: expected an object");
+    }
+    numberObject(l, member(l, obs, "balanceMetrics", true, where),
+                 {"maxRefs", "meanRefs", "maxOverMean", "cov", "gini"},
+                 "balanceMetrics");
+    expectNumber(l, member(l, obs, "writebacks", true, where),
+                 "observer.writebacks");
+    if (const JsonValue *iv = obs.find("intervals")) {
+        if (!iv->isObject()) {
+            l.fail("intervals: expected an object");
+            return;
+        }
+        const JsonValue *len = member(l, *iv, "length", true,
+                                      "intervals");
+        if (expectNumber(l, len, "intervals.length") &&
+            len->number <= 0)
+            l.fail("intervals.length: must be positive");
+        const JsonValue *samples = member(l, *iv, "samples", true,
+                                          "intervals");
+        if (samples && samples->isArray()) {
+            for (const JsonValue &s : samples->array)
+                numberObject(l, &s,
+                             {"accesses", "misses", "writebacks",
+                              "pdReprograms"},
+                             "intervals.samples[]");
+        } else if (samples) {
+            l.fail("intervals.samples: expected an array");
+        }
+    }
+    if (const JsonValue *pd = obs.find("pd")) {
+        if (!pd->isObject()) {
+            l.fail("observer.pd: expected an object");
+            return;
+        }
+        expectNumber(l, member(l, *pd, "reprograms", true,
+                               "observer.pd"),
+                     "observer.pd.reprograms");
+        numberArray(l, member(l, *pd, "reprogramsPerGroup", true,
+                              "observer.pd"),
+                    "observer.pd.reprogramsPerGroup");
+        numberArray(l, member(l, *pd, "occupancyPerGroup", true,
+                              "observer.pd"),
+                    "observer.pd.occupancyPerGroup");
+    }
+}
+
+/** The sampled-replay evidence object emitted instead of "balance". */
+void
+lintSample(Lint &l, const JsonValue *sample, const char *where)
+{
+    if (!numberObject(l, sample,
+                      {"unitLen", "period", "warmup", "records",
+                       "units", "sampledFraction", "estimate", "stderr",
+                       "ci95lo", "ci95hi", "mpki"},
+                      where))
+        return;
+    const double lo = sample->find("ci95lo")->number;
+    const double hi = sample->find("ci95hi")->number;
+    const double est = sample->find("estimate")->number;
+    if (lo > est || est > hi)
+        l.fail(std::string(where) +
+               ": estimate outside its own 95% CI");
+    if (sample->find("unitLen")->number <= 0)
+        l.fail(std::string(where) + ".unitLen: must be positive");
+}
+
+/**
+ * One run body: top level of single runs, elements of "shards". Run
+ * bodies carry "sample" XOR "balance" (sampled replays run a fresh
+ * cache per unit, so there is no per-set usage to classify); the
+ * sharded top level may carry both — a merged sample next to an
+ * observer-derived balance — so it passes @p allow_both.
+ */
+void
+lintRunBody(Lint &l, const JsonValue &run, bool balance_required,
+            bool allow_both, const char *where)
+{
+    expectString(l, member(l, run, "workload", true, where),
+                 "workload");
+    expectString(l, member(l, run, "config", true, where), "config");
+    lintStats(l, member(l, run, "stats", true, where), "stats");
+    if (const JsonValue *pd = run.find("pd"))
+        numberObject(l, pd,
+                     {"pdHitCacheMiss", "pdMiss", "pdHitRateOnMiss",
+                      "missPredictionRate"},
+                     "pd");
+    if (const JsonValue *vh = run.find("victimHits"))
+        expectNumber(l, vh, "victimHits");
+    const JsonValue *sample = run.find("sample");
+    if (sample)
+        lintSample(l, sample, "sample");
+    const JsonValue *bal =
+        member(l, run, "balance", balance_required && !sample, where);
+    if (bal && sample && !allow_both)
+        l.fail(std::string(where) +
+               ": sample and balance are mutually exclusive");
+    if (bal)
+        numberObject(l, bal,
+                     {"frequentHitSetsPct", "hitsInFrequentHitSetsPct",
+                      "frequentMissSetsPct",
+                      "missesInFrequentMissSetsPct",
+                      "lessAccessedSetsPct",
+                      "accessesInLessAccessedSetsPct"},
+                     "balance");
+    if (const JsonValue *obs = run.find("observer"))
+        lintObserver(l, *obs, "observer");
 }
 
 } // namespace
 
-std::string
-benchJsonPath()
+bool
+validateStatsJson(const std::string &text, std::string *error)
 {
-    const char *v = std::getenv("BSIM_BENCH_JSON");
-    return v && *v ? v : "BENCH_perf.json";
-}
-
-std::string
-currentGitRev()
-{
-    if (const char *v = std::getenv("BSIM_GIT_REV"); v && *v)
-        return v;
-    if (FILE *p = popen("git rev-parse --short HEAD 2>/dev/null", "r")) {
-        char buf[64] = {};
-        const std::size_t n = fread(buf, 1, sizeof(buf) - 1, p);
-        pclose(p);
-        std::string rev(buf, n);
-        while (!rev.empty() &&
-               (rev.back() == '\n' || rev.back() == '\r'))
-            rev.pop_back();
-        if (!rev.empty())
-            return rev;
-    }
-    return "unknown";
-}
-
-std::optional<std::size_t>
-validatePerfJson(const std::string &text, std::string *error)
-{
+    Lint l;
     std::string perr;
-    const std::optional<JsonValue> doc = parseJson(text, &perr);
+    const auto doc = parseJson(text, &perr);
     if (!doc) {
         if (error)
-            *error = "not valid JSON: " + perr;
-        return std::nullopt;
+            *error = "parse: " + perr;
+        return false;
     }
-    if (!doc->isArray()) {
+    if (!doc->isObject()) {
         if (error)
-            *error = strprintf("top-level value is %s, expected array",
-                               JsonValue::kindName(doc->kind));
-        return std::nullopt;
+            *error = "top level: expected an object";
+        return false;
     }
-    for (std::size_t i = 0; i < doc->array.size(); ++i) {
-        const JsonValue &rec = doc->array[i];
-        if (!rec.isObject()) {
-            if (error)
-                *error = strprintf("record %zu is %s, expected object",
-                                   i, JsonValue::kindName(rec.kind));
-            return std::nullopt;
-        }
-        for (const Field &f : kSchema) {
-            const JsonValue *v = rec.find(f.key);
-            if (!v) {
-                if (error)
-                    *error = strprintf("record %zu lacks key \"%s\"", i,
-                                       f.key);
-                return std::nullopt;
+    const JsonValue *schema = member(l, *doc, "schema", true, "top");
+    if (expectString(l, schema, "schema") &&
+        schema->string != "bsim-stats-v1")
+        l.fail("schema: expected \"bsim-stats-v1\", got \"" +
+               schema->string + "\"");
+    const JsonValue *driver = member(l, *doc, "driver", true, "top");
+    std::string d;
+    if (expectString(l, driver, "driver")) {
+        d = driver->string;
+        if (d != "workload" && d != "trace" && d != "sharded")
+            l.fail("driver: must be workload, trace or sharded");
+    }
+    if (l.ok()) {
+        // Sharded documents may lack a top-level balance (only present
+        // when the replay was observed); single runs always carry a
+        // balance or, when sampled, a sample object in its place.
+        lintRunBody(l, *doc, /*balance_required=*/d != "sharded",
+                    /*allow_both=*/d == "sharded", "top");
+    }
+    if (d == "sharded") {
+        const JsonValue *shards = member(l, *doc, "shards", true,
+                                         "top");
+        if (shards && shards->isArray()) {
+            for (const JsonValue &s : shards->array) {
+                if (!s.isObject()) {
+                    l.fail("shards[]: expected an object");
+                    break;
+                }
+                lintRunBody(l, s, /*balance_required=*/true,
+                            /*allow_both=*/false, "shards[]");
             }
-            if (v->kind != f.kind) {
-                if (error)
-                    *error = strprintf(
-                        "record %zu key \"%s\" is %s, expected %s", i,
-                        f.key, JsonValue::kindName(v->kind),
-                        JsonValue::kindName(f.kind));
-                return std::nullopt;
-            }
+        } else if (shards) {
+            l.fail("shards: expected an array");
         }
-        if (rec.object.size() != std::size(kSchema)) {
-            if (error)
-                *error = strprintf(
-                    "record %zu has %zu keys, expected exactly %zu", i,
-                    rec.object.size(), std::size(kSchema));
-            return std::nullopt;
-        }
+    } else if (doc->find("shards")) {
+        l.fail("shards: only sharded documents carry a shards array");
     }
-    return doc->array.size();
-}
-
-std::string
-appendPerfRecords(const std::vector<PerfRecord> &records,
-                  const std::string &path)
-{
-    const std::string target = path.empty() ? benchJsonPath() : path;
-
-    // Re-serialize any existing well-formed records; quarantine — never
-    // silently clobber — a file this module didn't write.
-    std::vector<std::string> lines;
-    std::string existing;
-    if (readFile(target, existing) && !existing.empty()) {
-        std::string verr;
-        if (validatePerfJson(existing, &verr)) {
-            const std::optional<JsonValue> doc = parseJson(existing);
-            for (const JsonValue &rec : doc->array)
-                lines.push_back(rec.dump());
-        } else {
-            const std::string quarantine = target + ".corrupt";
-            if (std::rename(target.c_str(), quarantine.c_str()) != 0)
-                return "cannot quarantine malformed " + target;
-            std::fprintf(stderr,
-                         "warning: %s was malformed (%s); moved to %s\n",
-                         target.c_str(), verr.c_str(),
-                         quarantine.c_str());
-        }
-    }
-
-    const std::string rev = currentGitRev();
-    for (const PerfRecord &r : records)
-        lines.push_back(serializeRecord(r, rev));
-
-    // Atomic replace: readers see either the old or the new log.
-    const std::string tmp = target + ".tmp";
-    {
-        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        if (!out)
-            return "cannot open " + tmp + " for writing";
-        out << serializeLog(lines);
-        if (!out.flush())
-            return "short write to " + tmp;
-    }
-    if (std::rename(tmp.c_str(), target.c_str()) != 0) {
-        std::remove(tmp.c_str());
-        return "cannot rename " + tmp + " over " + target;
-    }
-    return "";
-}
-
-std::string
-appendPerfRecord(const PerfRecord &record, const std::string &path)
-{
-    return appendPerfRecords({record}, path);
-}
-
-void
-reportSweepPerf(const std::string &bench, const std::string &config,
-                const SweepSummary &summary)
-{
-    PerfRecord r;
-    r.bench = bench;
-    r.config = config;
-    r.accessesPerSec = summary.eventsPerSecond();
-    r.wallSeconds = summary.wallSeconds;
-    r.jobs = summary.threads;
-    const std::string err = appendPerfRecord(r);
-    if (!err.empty())
-        std::fprintf(stderr,
-                     "warning: %s not updated: %s\n",
-                     benchJsonPath().c_str(), err.c_str());
-    else
-        // Diagnostics, not results: keep stdout clean for the table /
-        // JSON stream (e.g. `bsim --shards N --stats-json -`).
-        std::fprintf(stderr, "[perf] %s/%s -> %s\n", bench.c_str(),
-                     config.c_str(), benchJsonPath().c_str());
+    if (!l.ok() && error)
+        *error = l.error;
+    return l.ok();
 }
 
 } // namespace bench

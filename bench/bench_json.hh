@@ -1,77 +1,33 @@
 /**
  * @file
- * Machine-readable perf telemetry: every harness (and the perf gate in
- * tests/) appends one record per run to BENCH_perf.json, a JSON array of
+ * The bsim-stats-v1 document validator: the schema check behind
+ * bench/json_lint.cc (scripts/check_json.sh and the `check_stats_json`
+ * ctest).
+ * The schema is produced by sim/report.cc (toStatsJson) and the
+ * observe/ export layer — change them and this validator together.
  *
- *   {"bench": ..., "config": ..., "accesses_per_sec": ..., "wall_s": ...,
- *    "jobs": ..., "git_rev": ...}
- *
- * objects, giving the repo a perf trajectory across commits (see
- * EXPERIMENTS.md "Perf trajectory"). Appends are atomic (write-temp +
- * rename) and never clobber data: a malformed existing file is
- * quarantined to <path>.corrupt and a fresh array started.
- *
- * Knobs: BSIM_BENCH_JSON overrides the output path, BSIM_GIT_REV the
- * recorded revision (otherwise `git rev-parse --short HEAD`).
+ * Every object of the schema is checked for exactly its keys, each a
+ * number (or a string where the schema says so), plus five cross-field
+ * rules: hits + misses == accesses, each perSet array holds `lines`
+ * elements, a sample's estimate lies inside its own 95% CI, positive
+ * sample unitLen and intervals length, and a run body carries a
+ * "sample" or a "balance" but not both (a sharded top level may carry
+ * both; only sharded documents carry "shards").
  */
 
 #ifndef BSIM_BENCH_BENCH_JSON_HH
 #define BSIM_BENCH_BENCH_JSON_HH
 
-#include <cstdint>
-#include <optional>
 #include <string>
-#include <vector>
-
-#include "sim/sweep.hh"
 
 namespace bsim {
 namespace bench {
 
-/** One BENCH_perf.json entry. */
-struct PerfRecord
-{
-    std::string bench;          ///< harness name, e.g. "fig3_mf_sweep"
-    std::string config;         ///< cell/config label within the harness
-    double accessesPerSec = 0.0;
-    double wallSeconds = 0.0;
-    unsigned jobs = 1;          ///< worker threads the run used
-    std::string gitRev;         ///< filled from currentGitRev() if empty
-};
-
-/** Output path: BSIM_BENCH_JSON env, else "BENCH_perf.json" in cwd. */
-std::string benchJsonPath();
-
-/** BSIM_GIT_REV env, else `git rev-parse --short HEAD`, else "unknown". */
-std::string currentGitRev();
-
 /**
- * Append @p records to the perf log at @p path (empty = benchJsonPath()).
- * Returns "" on success, otherwise a diagnostic; a malformed existing
- * file is moved aside to <path>.corrupt rather than overwritten.
+ * True when @p text is a well-formed bsim-stats-v1 document; otherwise
+ * @p error (when non-null) names the first offending key.
  */
-std::string appendPerfRecords(const std::vector<PerfRecord> &records,
-                              const std::string &path = "");
-
-/** Single-record convenience wrapper around appendPerfRecords(). */
-std::string appendPerfRecord(const PerfRecord &record,
-                             const std::string &path = "");
-
-/**
- * Append one record built from a sweep's aggregate metrics (the
- * harnesses call this right after printSweepSummary()). Failures are
- * reported on stderr but never abort the harness.
- */
-void reportSweepPerf(const std::string &bench, const std::string &config,
-                     const SweepSummary &summary);
-
-/**
- * Schema check used by the lint tool and the unit tests: @p text must be
- * a JSON array of objects carrying exactly the PerfRecord keys with the
- * right types. Returns the record count, or nullopt with @p error set.
- */
-std::optional<std::size_t> validatePerfJson(const std::string &text,
-                                            std::string *error);
+bool validateStatsJson(const std::string &text, std::string *error);
 
 } // namespace bench
 } // namespace bsim

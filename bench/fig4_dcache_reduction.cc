@@ -9,7 +9,6 @@
  * (`--jobs N` / BSIM_JOBS selects the worker count).
  */
 
-#include "bench/bench_json.hh"
 #include "bench/bench_util.hh"
 #include "workload/spec2k.hh"
 
@@ -38,7 +37,5 @@ main(int argc, char **argv)
     printReductionTable("SPEC2K Integer (CINT2K), D$ reduction %",
                         spec2kIntNames(), configs, sweep.rows);
     printSweepSummary(sweep.summary);
-    reportSweepPerf("fig4_dcache_reduction", "spec2k-d16k-fig4-grid",
-                    sweep.summary);
     return 0;
 }

@@ -8,7 +8,6 @@
  * (`--jobs N` / BSIM_JOBS selects the worker count).
  */
 
-#include "bench/bench_json.hh"
 #include "bench/bench_util.hh"
 #include "workload/spec2k.hh"
 
@@ -36,7 +35,5 @@ main(int argc, char **argv)
                         spec2kIcacheReportedNames(), configs,
                         sweep.rows);
     printSweepSummary(sweep.summary);
-    reportSweepPerf("fig5_icache_reduction", "spec2k-i16k-fig4-grid",
-                    sweep.summary);
     return 0;
 }

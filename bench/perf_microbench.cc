@@ -11,10 +11,6 @@
  * Each timed section also starts from a reset cache so google-benchmark's
  * iteration-estimation passes cannot leak warm state into the measured
  * run.
- *
- * After the run, one BENCH_perf.json record per benchmark is appended
- * (bench = "perf_microbench", config = benchmark name) so the perf
- * trajectory in EXPERIMENTS.md covers the microbenchmarks too.
  */
 
 #include <benchmark/benchmark.h>
@@ -24,7 +20,6 @@
 #include <memory>
 #include <vector>
 
-#include "bench/bench_json.hh"
 #include "cache/cache_spec.hh"
 #include "workload/spec2k.hh"
 
@@ -204,84 +199,7 @@ BM_InstructionGeneration(benchmark::State &state)
 }
 BENCHMARK(BM_InstructionGeneration);
 
-/**
- * Wraps the default console reporter and captures per-benchmark results
- * so main() can append them to BENCH_perf.json after the run.
- */
-class CapturingReporter : public benchmark::BenchmarkReporter
-{
-  public:
-    explicit CapturingReporter(benchmark::BenchmarkReporter *inner)
-        : inner_(inner)
-    {
-    }
-
-    bool
-    ReportContext(const Context &context) override
-    {
-        return inner_->ReportContext(context);
-    }
-
-    void
-    ReportRuns(const std::vector<Run> &report) override
-    {
-        inner_->ReportRuns(report);
-        for (const Run &run : report) {
-            if (run.run_type != Run::RT_Iteration || run.error_occurred)
-                continue;
-            bench::PerfRecord rec;
-            rec.bench = "perf_microbench";
-            rec.config = run.benchmark_name();
-            const auto it = run.counters.find("items_per_second");
-            if (it != run.counters.end())
-                rec.accessesPerSec = it->second;
-            rec.wallSeconds = run.real_accumulated_time;
-            rec.jobs = static_cast<unsigned>(run.threads);
-            records_.push_back(std::move(rec));
-        }
-    }
-
-    void
-    Finalize() override
-    {
-        inner_->Finalize();
-    }
-
-    const std::vector<bench::PerfRecord> &
-    records() const
-    {
-        return records_;
-    }
-
-  private:
-    benchmark::BenchmarkReporter *inner_;
-    std::vector<bench::PerfRecord> records_;
-};
-
 } // namespace
 } // namespace bsim
 
-int
-main(int argc, char **argv)
-{
-    benchmark::Initialize(&argc, argv);
-    if (benchmark::ReportUnrecognizedArguments(argc, argv))
-        return 1;
-    std::unique_ptr<benchmark::BenchmarkReporter> console(
-        benchmark::CreateDefaultDisplayReporter());
-    bsim::CapturingReporter reporter(console.get());
-    benchmark::RunSpecifiedBenchmarks(&reporter);
-    benchmark::Shutdown();
-
-    if (!reporter.records().empty()) {
-        const std::string err =
-            bsim::bench::appendPerfRecords(reporter.records());
-        if (!err.empty())
-            std::fprintf(stderr, "perf_microbench: %s\n", err.c_str());
-        else
-            std::printf("[perf] perf_microbench -> %s (%zu records)\n",
-                        bsim::bench::benchJsonPath().c_str(),
-                        reporter.records().size());
-    }
-    return 0;
-}
+BENCHMARK_MAIN();

@@ -8,13 +8,10 @@
 # Runs fig3_mf_sweep, fig4_dcache_reduction, table5_6_mf_bas_pd and
 # design_space_explorer at --jobs 1 and --jobs 3 with a small
 # BSIM_ACCESSES and compares their stdout byte for byte, after dropping
-# the timing-only "sweep engine" table and any [perf] lines. runSweep
-# shares one stream between same-workload cells and splits those
-# groups by thread count, so this pins the split rule: results must
-# never depend on how the work was divided.
-#
-# BSIM_BENCH_JSON points at a temporary file, so the runs never append
-# to the repo's BENCH_perf.json.
+# the timing-only "sweep engine" table. runSweep shares one stream
+# between same-workload cells and splits those groups by thread count,
+# so this pins the split rule: results must never depend on how the
+# work was divided.
 set -eu
 
 repo_root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
@@ -24,17 +21,16 @@ examples_dir=${2:-$repo_root/build/examples}
 tmp=$(mktemp -d "${TMPDIR:-/tmp}/harness_identity.XXXXXX")
 trap 'rm -rf "$tmp"' EXIT INT TERM
 
-BSIM_BENCH_JSON=$tmp/perf.json
 BSIM_ACCESSES=${BSIM_ACCESSES:-20000}
-export BSIM_BENCH_JSON BSIM_ACCESSES
+export BSIM_ACCESSES
 unset BSIM_JOBS BSIM_SAMPLE
 
 # Drop the "== sweep engine ==" table (through its trailing blank line
-# or EOF) and [perf] diagnostics; everything else must match.
+# or EOF); everything else must match.
 strip_timing() {
     awk '/^== sweep engine ==$/ { skip = 1; next }
          skip && /^$/           { skip = 0; next }
-         !skip && !/^\[perf\]/  { print }'
+         !skip                  { print }'
 }
 
 fail=0

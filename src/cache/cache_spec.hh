@@ -204,6 +204,15 @@ struct CacheSpecEntry
         parse;
     /** Canonical parameter tail ("" when size alone round-trips). */
     std::function<std::string(const CacheConfig &)> printParams;
+    /**
+     * Instantiate a config of this kind. Unset for the built-in kinds,
+     * which CacheConfig::build() constructs itself; a kind registered
+     * outside cache_spec.cc (a test's instrumented DUT) supplies it.
+     */
+    std::function<std::unique_ptr<BaseCache>(
+        const CacheConfig &, const std::string &name, Cycles hit_latency,
+        MemLevel *next)>
+        build = {};
 };
 
 /**

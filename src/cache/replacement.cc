@@ -2,7 +2,6 @@
 
 #include "common/bits.hh"
 #include "common/logging.hh"
-#include "common/strings.hh"
 
 namespace bsim {
 
@@ -22,23 +21,6 @@ replPolicyName(ReplPolicyKind k)
         return "nmru";
     }
     return "?";
-}
-
-ReplPolicyKind
-replPolicyFromName(const std::string &name)
-{
-    const std::string n = toLower(name);
-    if (n == "lru")
-        return ReplPolicyKind::LRU;
-    if (n == "random" || n == "rand")
-        return ReplPolicyKind::Random;
-    if (n == "fifo")
-        return ReplPolicyKind::FIFO;
-    if (n == "plru" || n == "tree-plru")
-        return ReplPolicyKind::TreePLRU;
-    if (n == "nmru")
-        return ReplPolicyKind::NMRU;
-    bsim_fatal("unknown replacement policy '", name, "'");
 }
 
 // ---------------------------------------------------------------- LRU

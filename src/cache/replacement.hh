@@ -28,7 +28,6 @@ enum class ReplPolicyKind : std::uint8_t {
 };
 
 const char *replPolicyName(ReplPolicyKind k);
-ReplPolicyKind replPolicyFromName(const std::string &name);
 
 /**
  * Per-cache replacement state over (sets x ways).

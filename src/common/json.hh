@@ -2,10 +2,9 @@
  * @file
  * Minimal JSON support for structured statistics export: a writer for
  * machine-readable output from the CLI and the experiment runners, and a
- * small strict parser so tooling (the BENCH_perf.json perf-trajectory
- * reporter and its lint) can read records back without scraping ASCII
- * tables. Parse-then-serialize round-trips are pinned by tests/test_json
- * and tests/test_bench_json.
+ * small strict parser so tooling (bench/json_lint, the wire's request
+ * reader) can read documents back without scraping ASCII tables.
+ * Parse-then-serialize round-trips are pinned by tests/test_json.
  */
 
 #ifndef BSIM_COMMON_JSON_HH

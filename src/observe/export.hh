@@ -2,8 +2,8 @@
  * @file
  * Serialization of ObserverReport for the bsim driver's `--stats-json`,
  * `--heatmap` and `--interval` outputs. The JSON shape is part of the
- * "bsim-stats-v1" schema linted by bench/stats_json_lint.cc — change
- * them together.
+ * "bsim-stats-v1" schema checked by bench/bench_json.cc (run by
+ * bench/json_lint) — change them together.
  */
 
 #ifndef BSIM_OBSERVE_EXPORT_HH

@@ -13,7 +13,7 @@
  * exact bsim-stats-v1 document the CLI's `--stats-json -` would print
  * (minus the trailing newline, which the client re-adds), so server and
  * one-shot CLI output are byte-identical. docs/SERVE.md is the wire
- * spec; scripts/check_rpc_json.sh lints both shapes (change together).
+ * spec; scripts/check_json.sh lints both shapes (change together).
  */
 
 #ifndef BSIM_SERVE_RPC_HH
@@ -101,7 +101,7 @@ std::string errorEnvelope(RpcErrorCode code, const std::string &message);
 /**
  * Validate a response envelope's shape (either arm). Returns true when
  * well-formed; otherwise fills @p error. The schema check behind
- * bench/rpc_json_lint.cc and the serve tests.
+ * bench/json_lint.cc, the client and the serve tests.
  */
 bool validateRpcEnvelope(const std::string &payload, std::string *error);
 

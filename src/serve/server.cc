@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <chrono>
 #include <future>
+#include <limits>
 
 #include "common/logging.hh"
 #include "serve/request.hh"
@@ -362,7 +363,8 @@ serveUsage(const char *msg = nullptr)
         "  --tcp [HOST:]PORT    listen on TCP (default host "
         "127.0.0.1;\n"
         "                       port 0 picks an ephemeral port)\n"
-        "  --workers N          request worker threads (default 2)\n"
+        "  --workers N          request worker threads (default 2, "
+        "at most 256)\n"
         "  --queue N            admission queue slots (default 16);\n"
         "                       a full queue answers 'overloaded'\n"
         "  --max-frame BYTES    reject larger request frames "
@@ -394,9 +396,9 @@ serveMain(int argc, char **argv)
             return argv[++i];
         };
         // countFlag/u64Flag: the bsim front ends' checked numbers.
-        auto number = [&](auto parse, const char *flag) {
+        auto number = [&](auto parse, const char *flag, auto... max) {
             try {
-                return parse(flag, need(flag));
+                return parse(flag, need(flag), max...);
             } catch (const UsageError &e) {
                 serveUsage(e.what());
             }
@@ -416,9 +418,10 @@ serveMain(int argc, char **argv)
                 serveUsage("bad --tcp port");
             opt.tcpPort = static_cast<int>(*n);
         } else if (!std::strcmp(argv[i], "--workers")) {
-            opt.workers = number(countFlag, "--workers");
+            opt.workers = number(countFlag, "--workers", kMaxWorkers);
         } else if (!std::strcmp(argv[i], "--queue")) {
-            opt.queueCapacity = number(countFlag, "--queue");
+            opt.queueCapacity = number(countFlag, "--queue",
+                                       std::numeric_limits<unsigned>::max());
         } else if (!std::strcmp(argv[i], "--max-frame")) {
             opt.maxFramePayload =
                 static_cast<std::size_t>(number(u64Flag, "--max-frame"));

@@ -43,6 +43,9 @@
 namespace bsim {
 namespace serve {
 
+/** The largest `bsim --serve --workers` value (docs/SERVE.md §5). */
+inline constexpr unsigned kMaxWorkers = 256;
+
 struct ServerOptions
 {
     /** Unix-domain socket path ("" = none). */
@@ -51,7 +54,8 @@ struct ServerOptions
     int tcpPort = -1;
     std::string tcpHost = "127.0.0.1";
 
-    unsigned workers = 2;           ///< scheduler worker threads
+    /** Scheduler worker threads; `bsim --serve` takes at most kMaxWorkers. */
+    unsigned workers = 2;
     std::size_t queueCapacity = 16; ///< admission queue slots
     std::size_t maxFramePayload = kDefaultMaxFramePayload;
     /** Close a connection after this long with no bytes (0 = never). */
@@ -127,7 +131,7 @@ class Server
 /**
  * The bsimd CLI: parse flags, enable fatal-throw mode, install
  * SIGTERM/SIGINT drain handlers, run the server. `bsim --serve`
- * delegates here via BsimHooks.
+ * delegates here (bench/bsim.cc).
  */
 int serveMain(int argc, char **argv);
 

@@ -353,7 +353,7 @@ parseBsimArgs(int argc, char **argv)
 }
 
 int
-bsimMain(int argc, char **argv, const BsimHooks &hooks)
+bsimMain(int argc, char **argv)
 {
     const BsimArgs a = parseBsimArgs(argc, argv);
     if (a.listCaches) {
@@ -411,8 +411,6 @@ bsimMain(int argc, char **argv, const BsimHooks &hooks)
             printBCacheCosts(o.config, out);
         }
     }
-    if (o.sharded && hooks.onSweepDone)
-        hooks.onSweepDone(o.config.label, o.sharded->summary);
     return 0;
 }
 

@@ -24,27 +24,11 @@
 #ifndef BSIM_SIM_BSIM_DRIVER_HH
 #define BSIM_SIM_BSIM_DRIVER_HH
 
-#include <functional>
 #include <string>
 
 #include "sim/run_request.hh"
-#include "sim/sweep.hh"
 
 namespace bsim {
-
-/** Optional callbacks the host binary hangs on driver milestones. */
-struct BsimHooks
-{
-    /**
-     * Invoked after a sweep-backed run (--shards) with the config label
-     * and the engine's aggregate metrics. bench/bsim.cc points this at
-     * bench::reportSweepPerf so sharded replays land in the repo's
-     * BENCH_perf.json trajectory.
-     */
-    std::function<void(const std::string &configLabel,
-                       const SweepSummary &summary)>
-        onSweepDone;
-};
 
 /** A parsed `bsim` command line. */
 struct BsimArgs
@@ -68,7 +52,7 @@ BsimArgs parseBsimArgs(int argc, char **argv);
  * process exit code (0 on success; usage errors exit(2) directly and
  * malformed inputs are bsim_fatal, matching the library's conventions).
  */
-int bsimMain(int argc, char **argv, const BsimHooks &hooks = {});
+int bsimMain(int argc, char **argv);
 
 } // namespace bsim
 

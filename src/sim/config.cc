@@ -77,7 +77,10 @@ CacheConfig::build(const std::string &name, Cycles hit_latency,
             name, CacheGeometry(sizeBytes, lineBytes, ways), hit_latency,
             next, partialBits, repl);
     }
-    bsim_panic("bad cache kind");
+    const CacheSpecEntry *entry = CacheFactory::instance().entryFor(kind);
+    if (!entry || !entry->build)
+        bsim_panic("bad cache kind");
+    return entry->build(*this, name, hit_latency, next);
 }
 
 std::vector<CacheConfig>
@@ -163,11 +166,11 @@ u64Flag(const std::string &flag, const std::string &value)
 }
 
 unsigned
-countFlag(const std::string &flag, const std::string &value)
+countFlag(const std::string &flag, const std::string &value, unsigned max)
 {
-    if (const std::optional<unsigned> n = parseCount(value))
+    if (const std::optional<unsigned> n = parseCount(value); n && *n <= max)
         return *n;
-    badFlag(flag, value, std::numeric_limits<unsigned>::max());
+    badFlag(flag, value, max);
 }
 
 unsigned

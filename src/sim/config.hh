@@ -16,6 +16,7 @@
 #ifndef BSIM_SIM_CONFIG_HH
 #define BSIM_SIM_CONFIG_HH
 
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -85,12 +86,13 @@ class UsageError : public FatalError
 };
 
 /**
- * parseU64() / parseCount() of a flag's value. Throws UsageError
- * "bad FLAG value 'V': expected 0 to MAX" — the one error text of every
- * numeric flag of bsim, bsim --connect and bsim --serve.
+ * parseU64() / parseCount() of a flag's value, at most @p max. Throws
+ * UsageError "bad FLAG value 'V': expected 0 to MAX" — the one error
+ * text of every numeric flag of bsim, bsim --connect and bsim --serve.
  */
 std::uint64_t u64Flag(const std::string &flag, const std::string &value);
-unsigned countFlag(const std::string &flag, const std::string &value);
+unsigned countFlag(const std::string &flag, const std::string &value,
+                   unsigned max = std::numeric_limits<unsigned>::max());
 
 /**
  * Consume a `--jobs N` (or `--jobs=N`) flag from argv, compacting the

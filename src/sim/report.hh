@@ -40,9 +40,9 @@ std::string toJson(const TimedResult &r);
 
 /**
  * Serialize one run as a "bsim-stats-v1" document — the shape behind
- * `bsim --stats-json`, linted by bench/stats_json_lint.cc and
- * scripts/check_stats_json.sh (change them together). @p driver is
- * "workload" or "trace" depending on what produced @p r.
+ * `bsim --stats-json`, checked by bench/bench_json.cc through
+ * bench/json_lint and scripts/check_json.sh (change them together).
+ * @p driver is "workload" or "trace" depending on what produced @p r.
  */
 std::string toStatsJson(const MissRateResult &r,
                         const std::string &driver);

@@ -209,11 +209,11 @@ dispatchRun(const RunRequest &req, const ObserverConfig &observe,
         const StreamSide side = req.side == "inst" ? StreamSide::Inst
                                                    : StreamSide::Data;
         const std::uint64_t n = req.accessesSet ? req.accesses : 1'000'000;
-        out.result =
-            sample ? runMissRateSampled(req.workload, side, out.config, n,
-                                        *sample, req.seed)
-                   : runMissRate(req.workload, side, out.config, n,
-                                 req.seed, observe);
+        SpecWorkload wl = makeSpecWorkload(req.workload, req.seed);
+        Session session(side == StreamSide::Inst ? *wl.inst : *wl.data,
+                        out.config, n, req.workload, replay.observe,
+                        replay.batchLen);
+        out.result = sample ? session.runSampled(*sample) : session.run();
     }
     return out;
 }

@@ -89,15 +89,6 @@ runMissRateOn(AccessStream &stream, const CacheConfig &config,
 }
 
 MissRateResult
-runMissRateSampledOn(AccessStream &stream, const CacheConfig &config,
-                     std::uint64_t accesses, const SamplePlan &plan,
-                     const std::string &workload_label)
-{
-    return Session(stream, config, accesses, workload_label)
-        .runSampled(plan);
-}
-
-MissRateResult
 runMissRateSampled(const std::string &workload_name, StreamSide side,
                    const CacheConfig &config, std::uint64_t accesses,
                    const SamplePlan &plan, std::uint64_t seed)
@@ -105,8 +96,8 @@ runMissRateSampled(const std::string &workload_name, StreamSide side,
     SpecWorkload wl = makeSpecWorkload(workload_name, seed);
     AccessStream &stream =
         side == StreamSide::Inst ? *wl.inst : *wl.data;
-    return runMissRateSampledOn(stream, config, accesses, plan,
-                                workload_name);
+    return Session(stream, config, accesses, workload_name)
+        .runSampled(plan);
 }
 
 MissRateResult

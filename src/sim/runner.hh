@@ -99,13 +99,6 @@ MissRateResult runMissRateSampled(const std::string &workload_name,
                                   const SamplePlan &plan,
                                   std::uint64_t seed = kDefaultSeed);
 
-/** As above but over an explicit stream. */
-MissRateResult runMissRateSampledOn(AccessStream &stream,
-                                    const CacheConfig &config,
-                                    std::uint64_t accesses,
-                                    const SamplePlan &plan,
-                                    const std::string &workload_label);
-
 /** Result of a timed run. */
 struct TimedResult
 {

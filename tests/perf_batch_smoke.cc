@@ -19,10 +19,6 @@
  * Instrumented builds (BSIM_SANITIZED, BSIM_COVERAGE) report the ratio
  * but never fail: sanitizer and coverage instrumentation skew the two
  * paths differently.
- *
- * The measured rates are also appended to BENCH_perf.json (see
- * EXPERIMENTS.md "Perf trajectory") so every ctest run extends the
- * repo's perf record.
  */
 
 #include <algorithm>
@@ -32,7 +28,6 @@
 #include <vector>
 
 #include "bcache/bcache.hh"
-#include "bench/bench_json.hh"
 #include "sim/runner.hh"
 #include "workload/spec2k.hh"
 
@@ -156,18 +151,6 @@ main()
                 "(threshold %.2fx)\n",
                 med_per / 1e6, med_batched / 1e6, kBatchLen, ratio,
                 threshold);
-
-    bench::PerfRecord rec;
-    rec.bench = "perf_batch_smoke";
-    rec.config = "bcache-16k-mf8-bas8-gcc-inst/batched";
-    rec.accessesPerSec = med_batched;
-    rec.wallSeconds = double(n) / (med_batched > 0 ? med_batched : 1);
-    rec.jobs = 1;
-    const std::string err = bench::appendPerfRecord(rec);
-    if (!err.empty())
-        std::fprintf(stderr, "warning: BENCH_perf.json append failed: "
-                             "%s\n",
-                     err.c_str());
 
 #if defined(BSIM_SANITIZED) || defined(BSIM_COVERAGE)
     // Coverage counters skew the two paths just like sanitizers do:

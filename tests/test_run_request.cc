@@ -4,7 +4,8 @@
  * reads it: each run field must come out the same from a `bsim` flag, a
  * `bsim --connect` flag (and the payload that client sends), a wire key
  * and a `--config` experiment file. Also the experiment file's own
- * rules and the exact reading of wire integers from their lexemes.
+ * rules, the exact reading of wire integers from their lexemes, and
+ * the `batch` field reaching the DUT of a synthetic-workload run.
  */
 
 #include <gtest/gtest.h>
@@ -15,9 +16,13 @@
 #include <fstream>
 #include <functional>
 #include <limits>
+#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "cache/cache_spec.hh"
+#include "cache/set_assoc_cache.hh"
 #include "serve/client.hh"
 #include "serve/rpc.hh"
 #include "sim/bsim_driver.hh"
@@ -245,6 +250,77 @@ TEST(WireIntegers, NonIntegerNegativeAndOverRangeLexemesAreRefused)
             EXPECT_EQ("field '" + key + "' must be a non-negative integer",
                       err);
         }
+}
+
+// ------------------------------------------------------ batch length
+
+/** accessBatch calls made by every "countbatch" DUT. */
+std::uint64_t gBatchCalls = 0;
+
+/** A direct-mapped cache that counts its accessBatch calls. */
+class BatchCountingCache : public SetAssocCache
+{
+  public:
+    using SetAssocCache::SetAssocCache;
+
+    void
+    accessBatch(std::span<const MemAccess> reqs,
+                AccessOutcome *out) override
+    {
+        ++gBatchCalls;
+        SetAssocCache::accessBatch(reqs, out);
+    }
+};
+
+/** A kind no built-in grammar uses. */
+constexpr auto kCountBatchKind = static_cast<CacheKind>(0xff);
+
+BSIM_REGISTER_CACHE_SPEC(
+    regCountBatch,
+    {"countbatch",
+     {},
+     "countbatch:<size>",
+     "test-only direct-mapped cache counting its accessBatch calls",
+     kCountBatchKind,
+     [](std::uint64_t size, SpecParams &p) {
+         p.finish("");
+         CacheConfig c = CacheConfig::directMapped(size);
+         c.kind = kCountBatchKind;
+         c.label = "countbatch";
+         return c;
+     },
+     [](const CacheConfig &) { return std::string(); },
+     [](const CacheConfig &c, const std::string &name, Cycles hit_latency,
+        MemLevel *next) -> std::unique_ptr<BaseCache> {
+         return std::make_unique<BatchCountingCache>(
+             name, CacheGeometry(c.sizeBytes, c.lineBytes, 1),
+             hit_latency, next);
+     }})
+
+TEST(RunRequestBatch, WorkloadRunsFeedTheDutInBatchSizedSpans)
+{
+    for (const char *sample : {"", "500:5000:500"}) {
+        RunRequest req;
+        req.cache = "countbatch:16kB";
+        req.accesses = 20000;
+        req.accessesSet = true;
+        req.sample = sample;
+        auto run = [&](std::uint64_t batch, std::uint64_t *calls) {
+            req.batch = batch;
+            gBatchCalls = 0;
+            const std::string body = statsBody(dispatchRun(req, {}));
+            *calls = gBatchCalls;
+            return body;
+        };
+        std::uint64_t one = 0, big = 0, unset = 0, byDefault = 0;
+        const std::string body = run(1, &one);
+        EXPECT_EQ(body, run(4096, &big)) << sample;
+        EXPECT_NE(one, big) << sample;
+        // 0 still means defaultBatchLen().
+        EXPECT_EQ(body, run(0, &unset)) << sample;
+        EXPECT_EQ(body, run(defaultBatchLen(), &byDefault)) << sample;
+        EXPECT_EQ(unset, byDefault) << sample;
+    }
 }
 
 } // namespace

@@ -16,7 +16,7 @@
  *  - Acceptance: on a large generated trace (default 100M records,
  *    BSIM_SAMPLING_ACCESSES scales it), sampled replay must be at least
  *    5x faster than full replay while its CI contains the full-run miss
- *    ratio; both wall times land in BENCH_perf.json.
+ *    ratio.
  *
  * Knobs:
  *   BSIM_SAMPLING_ACCESSES  acceptance-trace length (default 100M;
@@ -39,7 +39,6 @@
 #include <string>
 #include <vector>
 
-#include "bench/bench_json.hh"
 #include "common/random.hh"
 #include "sim/report.hh"
 #include "sim/runner.hh"
@@ -347,26 +346,6 @@ TEST_F(SamplingTest, AcceptanceSpeedupAndCiOnLargeTrace)
     if (enforce_speedup && floor > 0.0) {
         EXPECT_GE(speedup, floor);
     }
-
-    // Record both wall times plus the ratio in BENCH_perf.json so the
-    // trajectory log keeps the sampled-vs-full evidence.
-    std::vector<bench::PerfRecord> recs(3);
-    recs[0].bench = "test_sampling";
-    recs[0].config = "full-replay";
-    recs[0].accessesPerSec = full_s > 0.0 ? double(n) / full_s : 0.0;
-    recs[0].wallSeconds = full_s;
-    recs[1].bench = "test_sampling";
-    recs[1].config = "sampled-replay-" + plan.toString();
-    recs[1].accessesPerSec =
-        sampled_s > 0.0 ? double(n) / sampled_s : 0.0;
-    recs[1].wallSeconds = sampled_s;
-    recs[2].bench = "test_sampling";
-    recs[2].config = "sampled-vs-full-speedup";
-    recs[2].accessesPerSec = speedup;
-    recs[2].wallSeconds = sampled_s;
-    const std::string err = bench::appendPerfRecords(recs);
-    if (!err.empty())
-        std::fprintf(stderr, "BENCH_perf.json: %s\n", err.c_str());
 }
 
 } // namespace

@@ -884,7 +884,8 @@ TEST(ServeFlags, BadNumbersExitTwoNamingTheFlag)
 {
     const std::pair<const char *, const char *> cases[] = {
         {"--workers", "-1"},       {"--workers", "abc"},
-        {"--workers", "4294967296"}, {"--queue", "-1"},
+        {"--workers", "4294967296"}, {"--workers", "257"},
+        {"--queue", "-1"},
         {"--queue", "8x"},         {"--max-frame", "1x"},
         {"--max-frame", "-1"},     {"--idle-timeout-ms", "soon"},
     };
